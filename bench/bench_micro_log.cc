@@ -10,7 +10,6 @@
 #include "bench/bench_gbench_json.h"
 
 #include "src/obs/trace.h"
-#include "src/sharedlog/partitioned_log.h"
 #include "src/sharedlog/shared_log.h"
 
 namespace impeller {
@@ -183,16 +182,6 @@ BENCHMARK(BM_ShardedLogAppend)
     ->Threads(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-void BM_PartitionedLogAppend(benchmark::State& state) {
-  PartitionedLog log;
-  (void)log.CreateTopic("t", 4);
-  uint32_t p = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(log.Append("t", p++ % 4, "k", "payload"));
-  }
-}
-BENCHMARK(BM_PartitionedLogAppend);
 
 void BM_MetaIncrement(benchmark::State& state) {
   SharedLog log;

@@ -1,6 +1,8 @@
 // Reproduces Table 2: p50/p99 latency between appending a 16 KiB record and
 // consuming it from another node, for Impeller's log (Boki model) vs Kafka,
-// at 10 / 50 / 100 appends per second, batching disabled.
+// at 10 / 50 / 100 appends per second, batching disabled. Both columns run
+// on a single-shard SharedLog with one tag; they differ only in the
+// calibrated latency model (BokiParams vs KafkaParams) and its seed.
 //
 // Paper values (us):            Impeller's log      Kafka
 //   10 aps                      p50 2714 p99 3711   p50 2074 p99 4448
@@ -14,7 +16,6 @@
 #include "src/common/histogram.h"
 #include "src/common/rate_limiter.h"
 #include "src/common/threading.h"
-#include "src/sharedlog/partitioned_log.h"
 #include "src/sharedlog/shared_log.h"
 
 namespace impeller {
@@ -28,10 +29,10 @@ struct Sample {
   int64_t p99;
 };
 
-Sample MeasureSharedLog(double aps, double seconds) {
+Sample MeasureSharedLog(const CalibratedLatencyParams& params,
+                        uint64_t seed, double aps, double seconds) {
   SharedLogOptions options;
-  options.latency = std::make_shared<CalibratedLatencyModel>(
-      CalibratedLatencyModel::BokiParams(), 11);
+  options.latency = std::make_shared<CalibratedLatencyModel>(params, seed);
   SharedLog log(std::move(options));
   LatencyHistogram hist;
   Clock* clock = MonotonicClock::Get();
@@ -65,41 +66,6 @@ Sample MeasureSharedLog(double aps, double seconds) {
   return {hist.p50(), hist.p99()};
 }
 
-Sample MeasureKafka(double aps, double seconds) {
-  PartitionedLogOptions options;
-  options.latency = std::make_shared<CalibratedLatencyModel>(
-      CalibratedLatencyModel::KafkaParams(), 13);
-  PartitionedLog log(std::move(options));
-  (void)log.CreateTopic("t", 1);  // single partition, as in the paper
-  LatencyHistogram hist;
-  Clock* clock = MonotonicClock::Get();
-
-  std::atomic<bool> done{false};
-  JoiningThread reader([&] {
-    Offset cursor = 0;
-    while (!done.load(std::memory_order_relaxed)) {
-      auto rec = log.AwaitRead("t", 0, cursor, 50 * kMillisecond);
-      if (!rec.ok()) {
-        continue;
-      }
-      cursor = rec->offset + 1;
-      hist.Record(clock->Now() - rec->append_time);
-    }
-  });
-
-  RateLimiter limiter(aps, clock, /*max_burst=*/1);
-  TimeNs deadline = clock->Now() + static_cast<DurationNs>(seconds * kSecond);
-  std::string payload(kRecordBytes, 'x');
-  while (clock->Now() < deadline) {
-    limiter.Acquire(1);
-    (void)log.Append("t", 0, "k", payload);
-  }
-  clock->SleepFor(20 * kMillisecond);
-  done.store(true);
-  reader.Join();
-  return {hist.p50(), hist.p99()};
-}
-
 int Main() {
   std::printf(
       "Table 2: produce-to-consume latency, 16 KiB record (us)\n"
@@ -115,8 +81,10 @@ int Main() {
   // single shared host one scheduler hiccup can otherwise poison the tail.
   Row rows[] = {{10, base * 5}, {50, base * 2}, {100, base}};
   for (const Row& row : rows) {
-    Sample boki = MeasureSharedLog(row.aps, row.seconds);
-    Sample kafka = MeasureKafka(row.aps, row.seconds);
+    Sample boki = MeasureSharedLog(CalibratedLatencyModel::BokiParams(), 11,
+                                   row.aps, row.seconds);
+    Sample kafka = MeasureSharedLog(CalibratedLatencyModel::KafkaParams(), 13,
+                                    row.aps, row.seconds);
     std::printf("%-8.0f | %-12ld %-12ld | %-12ld %-12ld | (%.2fx)\n",
                 row.aps, boki.p50 / 1000, boki.p99 / 1000, kafka.p50 / 1000,
                 kafka.p99 / 1000,

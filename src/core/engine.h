@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "src/autoscale/autoscaler.h"
+#include "src/common/metrics.h"
 #include "src/core/commit_tracker.h"
 #include "src/core/config.h"
-#include "src/core/metrics.h"
 #include "src/core/query.h"
 #include "src/core/substream_reader.h"
 #include "src/core/task_manager.h"

@@ -12,7 +12,7 @@
 #include <string_view>
 
 #include "src/common/clock.h"
-#include "src/core/metrics.h"
+#include "src/common/metrics.h"
 #include "src/core/state_store.h"
 
 namespace impeller {

@@ -21,9 +21,9 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/metrics.h"
 #include "src/core/commit_tracker.h"
 #include "src/core/marker.h"
-#include "src/core/metrics.h"
 #include "src/core/record.h"
 #include "src/sharedlog/shared_log.h"
 

@@ -19,11 +19,11 @@
 #include <vector>
 
 #include "src/autoscale/stats.h"
+#include "src/common/metrics.h"
 #include "src/common/threading.h"
 #include "src/core/checkpoint.h"
 #include "src/core/config.h"
 #include "src/core/gc.h"
-#include "src/core/metrics.h"
 #include "src/core/query.h"
 #include "src/core/task_runtime.h"
 #include "src/kvstore/kv_store.h"

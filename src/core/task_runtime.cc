@@ -68,6 +68,8 @@ TaskRuntime::TaskRuntime(TaskWiring wiring)
   uses_markers_ = tracker_.read_committed();
   capture_changes_ = uses_markers_ && wiring_.stage->stateful;
   changelog_tag_ = ChangeLogTag(task_id_);
+  // Alive from spawn: the monitor may tick before the first step does.
+  heartbeat_.store(wiring_.clock->Now());
 }
 
 TaskRuntime::~TaskRuntime() = default;
@@ -1102,34 +1104,9 @@ sched::StepResult TaskRuntime::StepRunning() {
     return FinishEpilogue();
   }
   PublishProgress();
-  TimeNs now = wiring_.clock->Now();
-  if (now >= next_timer_) {
-    RunTimers(now);
-    next_timer_ = now + cfg.timer_interval;
-  }
-  bool force_flush = now >= next_flush_;
-  if (force_flush) {
-    next_flush_ = now + cfg.output_flush_interval;
-  }
-  run_status_ = MaybeFlush(force_flush);
+  run_status_ = RunCadence();
   if (!run_status_.ok()) {
     return FinishEpilogue();
-  }
-  now = wiring_.clock->Now();
-  if (now >= next_commit_) {
-    if (now - next_commit_ >= cfg.commit_interval) {
-      // A full interval late: the task cannot keep its commit cadence —
-      // the backpressure signal the autoscaler watches.
-      commit_overruns_.fetch_add(1, std::memory_order_relaxed);
-      if (wiring_.metrics != nullptr) {
-        wiring_.metrics->GetCounter("task/commit_overruns")->Add();
-      }
-    }
-    run_status_ = Commit();
-    if (!run_status_.ok()) {
-      return FinishEpilogue();
-    }
-    next_commit_ = wiring_.clock->Now() + cfg.commit_interval;
   }
   if (*polled == 0) {
     return sched::StepResult::Idle(cfg.poll_interval);
@@ -1155,7 +1132,20 @@ sched::StepResult TaskRuntime::StepDraining() {
   // and withholding every flush/commit until FinishWithTail would stall
   // downstream consumers for that whole window. Intermediate commits are
   // ordinary commits — the final cut still covers whatever remains.
-  now = wiring_.clock->Now();
+  run_status_ = RunCadence();
+  if (!run_status_.ok()) {
+    return FinishWithTail();
+  }
+  if (*polled > 0) {
+    drain_quiet_until_ = wiring_.clock->Now() + drain_quiet_;
+    return sched::StepResult::Ready();
+  }
+  return sched::StepResult::Idle(cfg.poll_interval);
+}
+
+Status TaskRuntime::RunCadence() {
+  const EngineConfig& cfg = wiring_.config;
+  TimeNs now = wiring_.clock->Now();
   if (now >= next_timer_) {
     RunTimers(now);
     next_timer_ = now + cfg.timer_interval;
@@ -1164,22 +1154,22 @@ sched::StepResult TaskRuntime::StepDraining() {
   if (force_flush) {
     next_flush_ = now + cfg.output_flush_interval;
   }
-  run_status_ = MaybeFlush(force_flush);
-  if (!run_status_.ok()) {
-    return FinishWithTail();
+  IMPELLER_RETURN_IF_ERROR(MaybeFlush(force_flush));
+  now = wiring_.clock->Now();
+  if (now < next_commit_) {
+    return OkStatus();
   }
-  if (wiring_.clock->Now() >= next_commit_) {
-    run_status_ = Commit();
-    if (!run_status_.ok()) {
-      return FinishWithTail();
+  if (now - next_commit_ >= cfg.commit_interval) {
+    // A full interval late: the task cannot keep its commit cadence —
+    // the backpressure signal the autoscaler watches.
+    commit_overruns_.fetch_add(1, std::memory_order_relaxed);
+    if (wiring_.metrics != nullptr) {
+      wiring_.metrics->GetCounter("task/commit_overruns")->Add();
     }
-    next_commit_ = wiring_.clock->Now() + cfg.commit_interval;
   }
-  if (*polled > 0) {
-    drain_quiet_until_ = wiring_.clock->Now() + drain_quiet_;
-    return sched::StepResult::Ready();
-  }
-  return sched::StepResult::Idle(cfg.poll_interval);
+  IMPELLER_RETURN_IF_ERROR(Commit());
+  next_commit_ = wiring_.clock->Now() + cfg.commit_interval;
+  return OkStatus();
 }
 
 sched::StepResult TaskRuntime::FinishWithTail() {
@@ -1213,18 +1203,6 @@ sched::StepResult TaskRuntime::FinishEpilogue() {
   phase_ = Phase::kDone;
   finished_.store(true);
   return sched::StepResult::Done();
-}
-
-void TaskRuntime::Run() {
-  while (true) {
-    sched::StepResult r = Step();
-    if (r.outcome == sched::StepOutcome::kDone) {
-      return;
-    }
-    if (r.outcome == sched::StepOutcome::kIdle) {
-      wiring_.clock->SleepFor(r.idle_delay);
-    }
-  }
 }
 
 }  // namespace impeller

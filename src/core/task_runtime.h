@@ -26,12 +26,12 @@
 #include <vector>
 
 #include "src/common/arena.h"
+#include "src/common/metrics.h"
 #include "src/common/retry.h"
 #include "src/core/checkpoint.h"
 #include "src/core/commit_tracker.h"
 #include "src/core/config.h"
 #include "src/core/gc.h"
-#include "src/core/metrics.h"
 #include "src/core/operator.h"
 #include "src/core/output_buffer.h"
 #include "src/core/query.h"
@@ -127,10 +127,6 @@ class TaskRuntime final : public OperatorContext {
   // poll interval when no input was ready, kDone after the final status is
   // published.
   sched::StepResult Step();
-
-  // Dedicated-thread body (tests / standalone use): loops Step(), sleeping
-  // through kIdle delays; returns when Step reports kDone.
-  void Run();
 
   // Graceful stop: final flush + commit, then exit.
   void RequestStop() { stop_.store(true); }
@@ -250,12 +246,15 @@ class TaskRuntime final : public OperatorContext {
 
   // Step() state machine: kInit recovers, kRunning is the steady-state
   // poll/flush/commit loop, kDraining is the graceful-stop drain, kDone is
-  // terminal. The transition helpers mirror the epilogue of the old
-  // monolithic Run() loop.
+  // terminal.
   enum class Phase { kInit, kRunning, kDraining, kDone };
   sched::StepResult StepInit();
   sched::StepResult StepRunning();
   sched::StepResult StepDraining();
+  // The output cadence both kRunning and kDraining keep after a poll: due
+  // timers, then a forced (interval elapsed) or conditional flush, then a
+  // due commit, counting it as an overrun when a full interval late.
+  Status RunCadence();
   // Final flush + commit (+ transaction wait) of a graceful stop, then the
   // epilogue. Entered from kDraining however the drain ended.
   sched::StepResult FinishWithTail();

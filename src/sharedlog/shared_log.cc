@@ -9,16 +9,6 @@
 
 namespace impeller {
 
-namespace {
-
-inline void Bump(Counter* counter, uint64_t n = 1) {
-  if (counter != nullptr) {
-    counter->Add(n);
-  }
-}
-
-}  // namespace
-
 SharedLog::SharedLog(SharedLogOptions options)
     : options_(std::move(options)),
       metalog_(options_.name,
@@ -50,29 +40,27 @@ SharedLog::SharedLog(SharedLogOptions options)
   for (uint32_t s = 0; s < shards_.size(); ++s) {
     live_.push_back(s);
   }
-  if (options_.metrics != nullptr) {
-    counters_.appends = options_.metrics->GetCounter("log/appends");
-    counters_.records = options_.metrics->GetCounter("log/records");
-    counters_.fenced_appends =
-        options_.metrics->GetCounter("log/fenced_appends");
-    counters_.sealed_appends =
-        options_.metrics->GetCounter("log/sealed_appends");
-    counters_.reads = options_.metrics->GetCounter("log/reads");
-    counters_.trims = options_.metrics->GetCounter("log/trims");
-    counters_.bytes_appended =
-        options_.metrics->GetCounter("log/bytes_appended");
-    counters_.records_trimmed =
-        options_.metrics->GetCounter("log/records_trimmed");
-    counters_.seals = options_.metrics->GetCounter("log/seals");
-    counters_.rejoins = options_.metrics->GetCounter("log/rejoins");
-    counters_.epoch_bumps = options_.metrics->GetCounter("log/epoch_bumps");
-    counters_.seal_latency = options_.metrics->Histogram("log/seal_latency");
-    if (shards_.size() > 1) {
-      counters_.cuts = options_.metrics->GetCounter("log/cuts");
-      for (uint32_t s = 0; s < shards_.size(); ++s) {
-        counters_.shard_records.push_back(options_.metrics->GetCounter(
-            "log/shard" + std::to_string(s) + "/records"));
-      }
+  if (options_.metrics == nullptr) {
+    own_metrics_ = std::make_unique<MetricsRegistry>();
+    options_.metrics = own_metrics_.get();
+  }
+  MetricsRegistry* m = options_.metrics;
+  counters_.appends = m->GetCounter("log/appends");
+  counters_.records = m->GetCounter("log/records");
+  counters_.fenced_appends = m->GetCounter("log/fenced_appends");
+  counters_.sealed_appends = m->GetCounter("log/sealed_appends");
+  counters_.reads = m->GetCounter("log/reads");
+  counters_.trims = m->GetCounter("log/trims");
+  counters_.bytes_appended = m->GetCounter("log/bytes_appended");
+  counters_.records_trimmed = m->GetCounter("log/records_trimmed");
+  counters_.seals = m->GetCounter("log/seals");
+  counters_.rejoins = m->GetCounter("log/rejoins");
+  counters_.epoch_bumps = m->GetCounter("log/epoch_bumps");
+  counters_.seal_latency = m->Histogram("log/seal_latency");
+  if (shards_.size() > 1) {
+    for (uint32_t s = 0; s < shards_.size(); ++s) {
+      counters_.shard_records.push_back(
+          m->GetCounter("log/shard" + std::to_string(s) + "/records"));
     }
   }
 }
@@ -147,11 +135,7 @@ Result<std::vector<Lsn>> SharedLog::AppendBatchInternal(
       // Straggler: the shard sealed between placement and admission. Join
       // the (possibly still in-flight) seal so the epoch bump is visible,
       // then re-place. The caller never sees the reconfiguration.
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.sealed_appends += reqs.size();
-      }
-      Bump(counters_.sealed_appends, reqs.size());
+      counters_.sealed_appends->Add(reqs.size());
       TRACE_INSTANT("log", "append_replaced");
       (void)SealShard(shard);
       continue;
@@ -168,9 +152,7 @@ Result<std::vector<Lsn>> SharedLog::AppendBatchInternal(
       return st;
     }
     if (st.code() == StatusCode::kFenced) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.fenced_appends += reqs.size();
-      Bump(counters_.fenced_appends, reqs.size());
+      counters_.fenced_appends->Add(reqs.size());
     }
     return st;
   }
@@ -179,18 +161,7 @@ Result<std::vector<Lsn>> SharedLog::AppendBatchInternal(
   }
   auto lsns = metalog_.Sequence(shard, admitted->first_local,
                                 admitted->count);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.appends += 1;
-    stats_.records += admitted->count;
-    stats_.bytes_appended += batch_bytes;
-  }
-  Bump(counters_.appends);
-  Bump(counters_.records, admitted->count);
-  Bump(counters_.bytes_appended, batch_bytes);
-  if (shard < counters_.shard_records.size()) {
-    Bump(counters_.shard_records[shard], admitted->count);
-  }
+  CountAppend(shard, admitted->count, batch_bytes);
   {
     // The appender observes the ack latency; records become visible to tag
     // readers only after the additional delivery latency (§2.3), so the gap
@@ -208,42 +179,26 @@ Result<std::vector<Lsn>> SharedLog::AppendBatchInternal(
 
 Result<LogEntry> SharedLog::ReadNext(std::string_view tag, Lsn from_lsn) {
   TRACE_SPAN("log", "read_next");
-  Bump(counters_.reads);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.reads++;
-  }
+  counters_.reads->Add();
   return metalog_.ReadNext(tag, from_lsn);
 }
 
 Result<LogEntry> SharedLog::AwaitNext(std::string_view tag, Lsn from_lsn,
                                       DurationNs timeout) {
   TRACE_SPAN("log", "await_next");
-  Bump(counters_.reads);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.reads++;
-  }
+  counters_.reads->Add();
   return metalog_.AwaitNext(tag, from_lsn, timeout);
 }
 
 Result<LogEntry> SharedLog::ReadLast(std::string_view tag) {
   TRACE_SPAN("log", "read_last");
-  Bump(counters_.reads);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.reads++;
-  }
+  counters_.reads->Add();
   return metalog_.ReadLast(tag);
 }
 
 Result<LogEntry> SharedLog::ReadAt(Lsn lsn) {
   TRACE_SPAN("log", "read_at");
-  Bump(counters_.reads);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.reads++;
-  }
+  counters_.reads->Add();
   return metalog_.ReadAt(lsn);
 }
 
@@ -256,13 +211,8 @@ Status SharedLog::Trim(Lsn new_trim_point) {
   if (!st.ok() || dropped == 0) {
     return st;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.trims++;
-    stats_.records_trimmed += dropped;
-  }
-  Bump(counters_.trims);
-  Bump(counters_.records_trimmed, dropped);
+  counters_.trims->Add();
+  counters_.records_trimmed->Add(dropped);
   return OkStatus();
 }
 
@@ -332,15 +282,9 @@ Status SharedLog::SealShard(uint32_t shard) {
     epoch_ = next_epoch;
   }
   detector_->Reset(shard, clock_->Now());
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    stats_.seals++;
-  }
-  Bump(counters_.seals);
-  Bump(counters_.epoch_bumps);
-  if (counters_.seal_latency != nullptr) {
-    counters_.seal_latency->Record(clock_->Now() - start);
-  }
+  counters_.seals->Add();
+  counters_.epoch_bumps->Add();
+  counters_.seal_latency->Record(clock_->Now() - start);
   TRACE_INSTANT("log", "epoch_bump");
   LOG_WARN << options_.name << ": sealed shard " << shard << " at boundary "
            << boundary << " (final local offset " << final_local
@@ -374,12 +318,8 @@ Status SharedLog::RejoinShard(uint32_t shard) {
     epoch_ = next_epoch;
   }
   detector_->Reset(shard, clock_->Now());
-  {
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    stats_.rejoins++;
-  }
-  Bump(counters_.rejoins);
-  Bump(counters_.epoch_bumps);
+  counters_.rejoins->Add();
+  counters_.epoch_bumps->Add();
   TRACE_INSTANT("log", "epoch_bump");
   LOG_INFO << options_.name << ": shard " << shard
            << " rejoined at placement epoch " << next_epoch;
@@ -410,18 +350,7 @@ void SharedLog::AppendControlRecord(const char* kind, uint32_t shard,
       continue;  // that shard may be failing too; try the next survivor
     }
     metalog_.Sequence(target, admitted->first_local, admitted->count);
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      stats_.appends += 1;
-      stats_.records += admitted->count;
-      stats_.bytes_appended += bytes;
-    }
-    Bump(counters_.appends);
-    Bump(counters_.records, admitted->count);
-    Bump(counters_.bytes_appended, bytes);
-    if (target < counters_.shard_records.size()) {
-      Bump(counters_.shard_records[target], admitted->count);
-    }
+    CountAppend(target, admitted->count, bytes);
     // The record must be durable before the epoch bump publishes the
     // reconfiguration, exactly like a regular append's ack wait.
     TimeNs wake = admitted->ack_done + admitted->injected_ack_delay;
@@ -450,13 +379,29 @@ uint32_t SharedLog::num_live_shards() const {
   return static_cast<uint32_t>(live_.size());
 }
 
+void SharedLog::CountAppend(uint32_t shard, uint64_t records,
+                            uint64_t bytes) {
+  counters_.appends->Add();
+  counters_.records->Add(records);
+  counters_.bytes_appended->Add(bytes);
+  if (shard < counters_.shard_records.size()) {
+    counters_.shard_records[shard]->Add(records);
+  }
+}
+
 SharedLogStats SharedLog::stats() const {
   SharedLogStats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
+  out.appends = counters_.appends->Get();
+  out.records = counters_.records->Get();
+  out.fenced_appends = counters_.fenced_appends->Get();
+  out.sealed_appends = counters_.sealed_appends->Get();
+  out.reads = counters_.reads->Get();
+  out.trims = counters_.trims->Get();
+  out.bytes_appended = counters_.bytes_appended->Get();
+  out.records_trimmed = counters_.records_trimmed->Get();
   out.cuts = metalog_.cuts();
+  out.seals = counters_.seals->Get();
+  out.rejoins = counters_.rejoins->Get();
   out.placement_epoch = placement_epoch();
   return out;
 }

@@ -62,8 +62,9 @@ struct SharedLogOptions {
   // Latency model applied to appends. Defaults to zero latency (tests).
   std::shared_ptr<LatencyModel> latency;
   Clock* clock = nullptr;  // defaults to MonotonicClock
-  // Optional: when set, the log mirrors its SharedLogStats into "log/*"
-  // counters so metric exporters see log traffic without polling stats().
+  // Registry holding the log's "log/*" counters, so metric exporters see
+  // log traffic without polling stats(). When null the log keeps the
+  // counters in a registry of its own.
   MetricsRegistry* metrics = nullptr;
   // Number of shards (independent sequencers). 1 = the classic single
   // totally-ordered log; more shards admit batches concurrently while the
@@ -178,6 +179,9 @@ class SharedLog {
   uint64_t placement_epoch() const;
   uint32_t num_live_shards() const;
 
+  // Reads the "log/*" counters of the registry the log records into (plus
+  // the metalog's cut count and the placement epoch). Two logs sharing one
+  // registry would therefore both report the summed traffic.
   SharedLogStats stats() const;
   const std::string& name() const { return options_.name; }
 
@@ -196,8 +200,11 @@ class SharedLog {
   void AppendControlRecord(const char* kind, uint32_t shard, Lsn boundary,
                            uint64_t final_local, uint64_t next_epoch);
 
-  // Pre-resolved "log/*" counters mirroring SharedLogStats; all nullptr when
-  // no registry was configured.
+  // Counts one admitted batch of `records` records on `shard`.
+  void CountAppend(uint32_t shard, uint64_t records, uint64_t bytes);
+
+  // Pre-resolved "log/*" counters: the only count of the log's traffic.
+  // Never null.
   struct StatCounters {
     Counter* appends = nullptr;
     Counter* records = nullptr;
@@ -207,7 +214,6 @@ class SharedLog {
     Counter* trims = nullptr;
     Counter* bytes_appended = nullptr;
     Counter* records_trimmed = nullptr;
-    Counter* cuts = nullptr;
     Counter* seals = nullptr;
     Counter* rejoins = nullptr;
     Counter* epoch_bumps = nullptr;
@@ -219,6 +225,8 @@ class SharedLog {
 
   SharedLogOptions options_;
   Clock* clock_;
+  // Backs options_.metrics when the caller supplied no registry.
+  std::unique_ptr<MetricsRegistry> own_metrics_;
   StatCounters counters_;
 
   FencingTable meta_;
@@ -235,9 +243,6 @@ class SharedLog {
   mutable std::mutex placement_mu_;
   std::vector<uint32_t> live_;  // live shard ids, ascending
   uint64_t epoch_ = 0;
-
-  mutable std::mutex stats_mu_;
-  SharedLogStats stats_;
 };
 
 }  // namespace impeller

@@ -236,6 +236,43 @@ TEST_F(FailureRecoveryTest, AutoRestartReplacesCrashedTask) {
   VerifyExactCounts({{"auto", 40}, {"heal", 20}});
 }
 
+TEST_F(FailureRecoveryTest, MonitorKeepsTaskThatHasNotStepped) {
+  // A freshly spawned task counts as alive from its spawn: a monitor tick
+  // that lands before the task's first step must not presume it dead.
+  EngineConfig config = FastConfig(ProtocolKind::kProgressMarking);
+  config.auto_restart = true;
+  config.sched_workers = 1;
+  config.heartbeat_interval = 5 * kMillisecond;
+  config.failure_timeout = kSecond;
+  EngineOptions options;
+  options.config = config;
+  engine_ = std::make_unique<Engine>(std::move(options));
+  // Hold the only worker while Submit spawns the tasks, so the monitor
+  // ticks several times before any task takes its first step.
+  std::atomic<bool> blocking{false};
+  engine_->scheduler()->Submit(
+      [&blocking] {
+        blocking.store(true);
+        MonotonicClock::Get()->SleepFor(50 * kMillisecond);
+        return sched::StepResult::Done();
+      },
+      0, "blocker");
+  ASSERT_TRUE(WaitFor([&] { return blocking.load(); }));
+  auto plan = WordCountPlan(1);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(engine_->Submit(std::move(*plan)).ok());
+  TaskRuntime* spawned = engine_->tasks()->FindTask("wc/count/0");
+  ASSERT_NE(spawned, nullptr);
+  uint64_t instance = spawned->instance();
+  ASSERT_TRUE(WaitFor([&] { return spawned->started(); }));
+  MonotonicClock::Get()->SleepFor(20 * kMillisecond);
+  TaskRuntime* now = engine_->tasks()->FindTask("wc/count/0");
+  ASSERT_NE(now, nullptr);
+  EXPECT_EQ(now, spawned);
+  EXPECT_EQ(now->instance(), instance);
+  engine_->Stop();
+}
+
 TEST_F(FailureRecoveryTest, StopRacingRestartNeverHangs) {
   // Engine::Stop joins the scheduler workers; a RestartTask racing it used
   // to submit a task nothing would ever run and then spin waiting for it to

@@ -55,10 +55,19 @@ TEST(SharedLogTest, MultiTagAppendVisibleOnAllTags) {
     EXPECT_EQ(got->lsn, *lsn);
     EXPECT_EQ(got->payload, "marker");
   }
+  // Built without a registry, the log still counts its own traffic.
+  SharedLogStats stats = log.stats();
+  EXPECT_EQ(stats.appends, 1u);
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(stats.bytes_appended, 6u);
+  EXPECT_EQ(stats.reads, 3u);
 }
 
 TEST(SharedLogTest, ConditionalAppendFencesStaleInstance) {
-  SharedLog log;
+  MetricsRegistry metrics;
+  SharedLogOptions opts;
+  opts.metrics = &metrics;
+  SharedLog log(std::move(opts));
   log.MetaPut("inst/t1", 2);
 
   AppendRequest stale = Req({"a"}, "zombie");
@@ -72,7 +81,27 @@ TEST(SharedLogTest, ConditionalAppendFencesStaleInstance) {
   current.cond_key = "inst/t1";
   current.cond_value = 2;
   EXPECT_TRUE(log.Append(std::move(current)).ok());
-  EXPECT_EQ(log.stats().fenced_appends, 1u);
+  ASSERT_TRUE(log.ReadNext("a", 0).ok());
+  ASSERT_TRUE(log.Trim(1).ok());
+  // stats() reads the registry's "log/*" counters.
+  SharedLogStats stats = log.stats();
+  EXPECT_EQ(stats.fenced_appends, 1u);
+  auto counter = [&metrics](const char* name) {
+    return metrics.GetCounter(name)->Get();
+  };
+  EXPECT_EQ(stats.appends, counter("log/appends"));
+  EXPECT_EQ(stats.records, counter("log/records"));
+  EXPECT_EQ(stats.fenced_appends, counter("log/fenced_appends"));
+  EXPECT_EQ(stats.sealed_appends, counter("log/sealed_appends"));
+  EXPECT_EQ(stats.reads, counter("log/reads"));
+  EXPECT_EQ(stats.trims, counter("log/trims"));
+  EXPECT_EQ(stats.bytes_appended, counter("log/bytes_appended"));
+  EXPECT_EQ(stats.records_trimmed, counter("log/records_trimmed"));
+  EXPECT_EQ(stats.seals, counter("log/seals"));
+  EXPECT_EQ(stats.rejoins, counter("log/rejoins"));
+  EXPECT_EQ(stats.appends, 1u);
+  EXPECT_EQ(stats.reads, 1u);
+  EXPECT_EQ(stats.records_trimmed, 1u);
 }
 
 TEST(SharedLogTest, ConditionalAppendOnMissingKeyTreatsValueAsZero) {
