@@ -2,7 +2,7 @@
 // log can return transient kUnavailable errors (real deployments: leader
 // failover, quorum loss; here: the fault injector) that the exactly-once
 // protocols must absorb without losing or duplicating records — the
-// AppendBatch contract (requests untouched on failure) makes blind re-issue
+// AdmitBatch contract (requests untouched on failure) makes blind re-issue
 // safe, and fencing makes it zombie-safe.
 //
 // Header-only on purpose: Retrier's template body instantiates in consumer

@@ -1,5 +1,7 @@
 #include "src/core/engine.h"
 
+#include <algorithm>
+
 #include "src/common/hash.h"
 #include "src/core/record.h"
 #include "src/core/stream.h"
@@ -140,20 +142,32 @@ void IngressProducer::SendDuplicate(std::string key, std::string value,
 
 Result<size_t> IngressProducer::Flush() {
   size_t flushed = 0;
+  TimeNs ack_at = 0;
+  Status status = OkStatus();
   for (auto& batch : pending_) {
     if (batch.empty()) {
       continue;
     }
-    auto lsns = retrier_.Run("ingress_flush",
-                             [&] { return log_->AppendBatch(batch); });
-    if (!lsns.ok()) {
-      // AppendBatch left this batch intact; it (and every later substream's
+    auto admitted = retrier_.Run("ingress_flush",
+                                 [&] { return log_->AdmitBatch(batch); });
+    if (!admitted.ok()) {
+      // AdmitBatch left this batch intact; it (and every later substream's
       // batch) stays buffered for the caller's next Flush.
-      return lsns.status();
+      status = admitted.status();
+      break;
     }
+    ack_at = std::max(ack_at, admitted->ack_at);
     flushed += batch.size();
     pending_count_ -= batch.size();
     batch.clear();
+  }
+  if (flushed > 0) {
+    // Even a failed flush returns only after the batches it did admit are
+    // durable.
+    log_->AwaitAck(ack_at);
+  }
+  if (!status.ok()) {
+    return status;
   }
   return flushed;
 }

@@ -96,8 +96,11 @@ class IngressProducer {
   // Buffers one record. event_time 0 = now.
   void Send(std::string key, std::string value, TimeNs event_time = 0);
 
-  // Appends all buffered records. Returns the number appended. On a
-  // transient failure (retries exhausted) the unflushed substream batches
+  // Appends all buffered records and returns, with the number appended,
+  // once every one of them is durable. The substream batches are admitted
+  // back to back and share one wait for the latest ack, so a flush costs
+  // one ack round rather than one per substream. On a transient failure
+  // (retries exhausted) the unflushed substream batches
   // stay buffered: a later Flush re-issues them with their original
   // sequence numbers, and §3.5 duplicate suppression absorbs any batch the
   // log durably appended but failed to acknowledge.

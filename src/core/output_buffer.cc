@@ -75,12 +75,12 @@ Result<OutputBuffer::FlushResult> OutputBuffer::Flush() {
     req.payload = rec.Ref();
     batch.push_back(std::move(req));
   }
-  auto lsns = retrier_ != nullptr
-                  ? retrier_->Run("output_flush",
-                                  [&] { return log_->AppendBatch(batch); })
-                  : log_->AppendBatch(batch);
-  if (!lsns.ok()) {
-    if (lsns.status().code() == StatusCode::kFenced) {
+  auto admitted = retrier_ != nullptr
+                      ? retrier_->Run("output_flush",
+                                      [&] { return log_->AdmitBatch(batch); })
+                      : log_->AdmitBatch(batch);
+  if (!admitted.ok()) {
+    if (admitted.status().code() == StatusCode::kFenced) {
       // A fenced flush means this task instance is a zombie: the buffered
       // records are dead weight, drop them and surface the error.
       pending_.clear();
@@ -96,10 +96,10 @@ Result<OutputBuffer::FlushResult> OutputBuffer::Flush() {
         }
       }
     }
-    return lsns.status();
+    return admitted.status();
   }
   for (size_t i = 0; i < pending_.size(); ++i) {
-    Lsn lsn = (*lsns)[i];
+    Lsn lsn = admitted->lsns[i];
     if (pending_[i].kind == Kind::kOutput) {
       if (result.first_output == kInvalidLsn) {
         result.first_output = lsn;
@@ -109,6 +109,7 @@ Result<OutputBuffer::FlushResult> OutputBuffer::Flush() {
     }
   }
   result.records = pending_.size();
+  result.ack_at = admitted->ack_at;
   pending_.clear();
   pending_bytes_ = 0;
   return result;

@@ -55,12 +55,14 @@ class OutputBuffer {
     Lsn first_output = kInvalidLsn;
     Lsn first_changelog = kInvalidLsn;
     size_t records = 0;
+    TimeNs ack_at = 0;  // when the batch is durable; 0 if nothing flushed
   };
 
-  // Appends all pending records as one batch. Blocks for the modeled append
-  // ack. A fenced conditional append propagates as kFenced with the buffer
-  // dropped (the caller is a zombie and must stop); any other failure keeps
-  // the buffer intact for retry.
+  // Admits all pending records as one batch and returns without waiting for
+  // its ack: the records are durable at `ack_at`, which the caller holds as
+  // state. A fenced conditional append propagates as kFenced with the
+  // buffer dropped (the caller is a zombie and must stop); any other
+  // failure keeps the buffer intact for retry.
   Result<FlushResult> Flush();
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 #include "src/common/serde.h"
 #include "src/core/stream.h"
@@ -713,6 +714,7 @@ Status TaskRuntime::ApplyFlushResult(const OutputBuffer::FlushResult& result) {
       epoch_first_changelog_ == kInvalidLsn) {
     epoch_first_changelog_ = result.first_changelog;
   }
+  pending_ack_at_ = std::max(pending_ack_at_, result.ack_at);
   return OkStatus();
 }
 
@@ -749,9 +751,10 @@ Status TaskRuntime::MaybeFlush(bool force) {
   }
   IMPELLER_RETURN_IF_ERROR(ApplyFlushResult(*result));
   if (MaybeInjectCrash("task/flush/post")) {
-    // The flush is durable in the log but no marker covers it yet: the
-    // restarted instance re-executes the epoch and commit filtering (or
-    // egress seq-dedup) must hide the orphaned records.
+    // The flush is in the log (durable at its ack, which the exit waits
+    // out) but no marker covers it yet: the restarted instance re-executes
+    // the epoch and commit filtering (or egress seq-dedup) must hide the
+    // orphaned records.
     return UnavailableError("injected crash after flush");
   }
   return OkStatus();
@@ -771,34 +774,86 @@ bool TaskRuntime::MaybeInjectCrash(const char* point) {
   return false;
 }
 
-Status TaskRuntime::Commit() {
-  switch (wiring_.config.protocol) {
-    case ProtocolKind::kProgressMarking:
-      return CommitProgressMarking();
-    case ProtocolKind::kKafkaTxn:
-      return CommitKafkaTxn();
-    case ProtocolKind::kAlignedCheckpoint:
-    case ProtocolKind::kUnsafe:
-      // Aligned checkpoints are barrier-driven; unsafe never commits. Flush
-      // so outputs keep flowing.
-      return MaybeFlush(true);
+Result<DurationNs> TaskRuntime::AdvanceCommit() {
+  while (true) {
+    TimeNs now = wiring_.clock->Now();
+    if (now < pending_ack_at_) {
+      return pending_ack_at_ - now;
+    }
+    switch (commit_stage_) {
+      case CommitStage::kIdle:
+        return DurationNs{0};
+      case CommitStage::kDue:
+        // A new transaction may need to wait for the in-progress one (§3.6).
+        if (txn_inflight_.valid()) {
+          if (txn_inflight_.wait_for(std::chrono::seconds(0)) !=
+              std::future_status::ready) {
+            return wiring_.config.poll_interval;
+          }
+          Status st = txn_inflight_.get();
+          txn_inflight_ = {};
+          IMPELLER_RETURN_IF_ERROR(st);
+        }
+        IMPELLER_RETURN_IF_ERROR(BeginCommit());
+        break;
+      case CommitStage::kFlushed:
+        IMPELLER_RETURN_IF_ERROR(
+            wiring_.config.protocol == ProtocolKind::kKafkaTxn
+                ? CommitKafkaTxn()
+                : CommitProgressMarking());
+        break;
+      case CommitStage::kPhaseOne: {
+        if (DurationNs wait = txn_phase_one_->Poll(); wait > 0) {
+          return wait;
+        }
+        auto future = txn_phase_one_->result();
+        txn_phase_one_.reset();
+        commit_span_.Close("protocol", "commit_txn");
+        if (!future.ok()) {
+          return future.status();  // kFenced: superseded instance
+        }
+        txn_inflight_ = *future;
+        markers_written_.fetch_add(1);
+        EndCommit();
+        break;
+      }
+    }
   }
+}
+
+void TaskRuntime::EndCommit() {
+  commit_stage_ = CommitStage::kIdle;
+  next_commit_ = wiring_.clock->Now() + wiring_.config.commit_interval;
+}
+
+Status TaskRuntime::BeginCommit() {
+  if (!uses_markers_) {
+    // Aligned checkpoints are barrier-driven; unsafe never commits. The
+    // flush keeps outputs flowing and is the whole commit.
+    IMPELLER_RETURN_IF_ERROR(MaybeFlush(true));
+    EndCommit();
+    return OkStatus();
+  }
+  if (!epoch_dirty_ && output_buffer_.empty() &&
+      CurrentInputEnds() == last_input_ends_) {
+    EndCommit();  // idle epoch: nothing to commit
+    return OkStatus();
+  }
+  commit_span_.Open();
+  IMPELLER_RETURN_IF_ERROR(MaybeFlush(true));
+  // No input is polled until the marker or transaction request is issued,
+  // so the input ends it records are exactly those of the flushed epoch.
+  commit_stage_ = CommitStage::kFlushed;
   return OkStatus();
 }
 
 Status TaskRuntime::CommitProgressMarking() {
-  auto ends = CurrentInputEnds();
-  if (!epoch_dirty_ && ends == last_input_ends_ && output_buffer_.empty()) {
-    return OkStatus();  // idle epoch: nothing to commit
-  }
-  TRACE_SPAN("protocol", "commit_marker");
-  IMPELLER_RETURN_IF_ERROR(MaybeFlush(true));
   if (MaybeInjectCrash("task/commit/pre_marker")) {
     // Outputs are durable but the marker is not: the epoch is uncommitted
     // and must be re-executed by the replacement instance.
     return UnavailableError("injected crash before marker append");
   }
-
+  auto ends = CurrentInputEnds();
   ProgressMarker marker;
   marker.marker_seq = marker_seq_;
   marker.input_ends = ends;
@@ -817,20 +872,24 @@ Status TaskRuntime::CommitProgressMarking() {
   req.cond_value = wiring_.instance;
   req.payload = EncodeEnvelope(header, EncodeProgressMarker(marker));
 
-  // Retried through the batch API: AppendBatch leaves the request intact on
-  // transient failure, so a retry re-appends the identical marker.
+  // Retried through the batch API: AdmitBatch leaves the request intact on
+  // transient failure, so a retry re-appends the identical marker. The
+  // marker is admitted, not awaited: its ack joins pending_ack_at_.
   std::vector<AppendRequest> marker_batch;
   marker_batch.push_back(std::move(req));
-  auto lsns = retrier_.Run(
-      "marker_append", [&] { return wiring_.log->AppendBatch(marker_batch); });
-  if (!lsns.ok()) {
-    return lsns.status();  // kFenced: this instance is a zombie
+  auto admitted = retrier_.Run(
+      "marker_append", [&] { return wiring_.log->AdmitBatch(marker_batch); });
+  if (!admitted.ok()) {
+    return admitted.status();  // kFenced: this instance is a zombie
   }
-  Lsn marker_lsn = (*lsns)[0];
+  pending_ack_at_ = std::max(pending_ack_at_, admitted->ack_at);
+  Lsn marker_lsn = admitted->lsns[0];
+  commit_span_.Close("protocol", "commit_marker");
   if (MaybeInjectCrash("task/commit/post_marker")) {
-    // The marker is durable but this instance dies before acknowledging it:
-    // the replacement recovers exactly to this marker's cut and resumes —
-    // the committed-but-unacked case of §3.3.4.
+    // The marker is in the log but this instance dies before acknowledging
+    // it: the exit waits out the marker's ack, so the replacement recovers
+    // exactly to this marker's cut and resumes — the committed-but-unacked
+    // case of §3.3.4.
     return UnavailableError("injected crash after marker append");
   }
   markers_written_.fetch_add(1);
@@ -845,6 +904,7 @@ Status TaskRuntime::CommitProgressMarking() {
     wiring_.gc->PublishFloor(task_id_ + "/marker", marker_lsn);
   }
   PublishGcFloors();
+  EndCommit();
   return OkStatus();
 }
 
@@ -852,20 +912,7 @@ Status TaskRuntime::CommitKafkaTxn() {
   if (wiring_.txn_coordinator == nullptr) {
     return InternalError("kafka-txn protocol without a coordinator");
   }
-  // A new transaction may need to wait for the in-progress one (§3.6).
-  if (txn_inflight_.valid()) {
-    txn_inflight_.wait();
-    Status st = txn_inflight_.get();
-    txn_inflight_ = {};
-    IMPELLER_RETURN_IF_ERROR(st);
-  }
   auto ends = CurrentInputEnds();
-  if (!epoch_dirty_ && ends == last_input_ends_ && output_buffer_.empty()) {
-    return OkStatus();
-  }
-  TRACE_SPAN("protocol", "commit_txn");
-  IMPELLER_RETURN_IF_ERROR(MaybeFlush(true));
-
   TxnRequest req;
   req.task_id = task_id_;
   req.instance = wiring_.instance;
@@ -875,12 +922,12 @@ Status TaskRuntime::CommitKafkaTxn() {
   req.input_ends = ends;
   req.changelog_from = epoch_first_changelog_;
 
-  auto future = wiring_.txn_coordinator->CommitTransaction(std::move(req));
-  if (!future.ok()) {
-    return future.status();  // kFenced: superseded instance
+  auto phase_one = wiring_.txn_coordinator->BeginTransaction(std::move(req));
+  if (!phase_one.ok()) {
+    return phase_one.status();  // kFenced: superseded instance
   }
-  txn_inflight_ = *future;
-  markers_written_.fetch_add(1);
+  txn_phase_one_ = std::move(*phase_one);
+  commit_stage_ = CommitStage::kPhaseOne;
   last_input_ends_ = std::move(ends);
   epoch_first_output_ = kInvalidLsn;
   epoch_first_changelog_ = kInvalidLsn;
@@ -949,6 +996,9 @@ Status TaskRuntime::CompleteAlignment() {
   TRACE_SPAN("protocol", "align_checkpoint");
   uint64_t id = align_ckpt_id_;
   IMPELLER_RETURN_IF_ERROR(MaybeFlush(true));
+  // The snapshot and the forwarded barriers must follow durable outputs.
+  // This is the one ack a task step still blocks on.
+  wiring_.log->AwaitAck(pending_ack_at_);
 
   // Synchronous snapshot to the checkpoint store: state stores, the dedup
   // sequence map, input cursors, and the output sequence counter (so
@@ -1051,6 +1101,10 @@ sched::StepResult TaskRuntime::Step() {
       return StepRunning();
     case Phase::kDraining:
       return StepDraining();
+    case Phase::kTail:
+      return FinishWithTail();
+    case Phase::kExiting:
+      return FinishEpilogue();
     case Phase::kDone:
       return sched::StepResult::Done();
   }
@@ -1073,7 +1127,18 @@ sched::StepResult TaskRuntime::StepInit() {
   }
   const EngineConfig& cfg = wiring_.config;
   TimeNs now = wiring_.clock->Now();
-  next_commit_ = now + cfg.commit_interval;
+  // Each task's first commit lands at its own hash-chosen point of the
+  // interval. Tasks start together and keep equal cadences, so otherwise
+  // every stage commits at the same instant, and a record a producer
+  // commits then becomes readable just after its consumer's commit: it
+  // waits out the consumer's whole interval, instead of half of one on
+  // average, at every stage boundary.
+  next_commit_ =
+      now + (cfg.commit_interval > 0
+                 ? static_cast<DurationNs>(
+                       Fnv1a(task_id_) %
+                       static_cast<uint64_t>(cfg.commit_interval))
+                 : 0);
   next_timer_ = now + cfg.timer_interval;
   next_flush_ = now + cfg.output_flush_interval;
   run_status_ = OkStatus();
@@ -1098,15 +1163,28 @@ sched::StepResult TaskRuntime::StepRunning() {
     return sched::StepResult::Ready();
   }
   heartbeat_.store(wiring_.clock->Now(), std::memory_order_relaxed);
+  // An unacked append or an unfinished commit outranks new input.
+  auto wait = AdvanceCommit();
+  if (!wait.ok()) {
+    run_status_ = wait.status();
+    return FinishEpilogue();
+  }
+  if (*wait > 0) {
+    return sched::StepResult::Idle(*wait);
+  }
   auto polled = PollInputs();
   if (!polled.ok()) {
     run_status_ = polled.status();
     return FinishEpilogue();
   }
   PublishProgress();
-  run_status_ = RunCadence();
-  if (!run_status_.ok()) {
+  wait = RunCadence();
+  if (!wait.ok()) {
+    run_status_ = wait.status();
     return FinishEpilogue();
+  }
+  if (*wait > 0) {
+    return sched::StepResult::Idle(*wait);
   }
   if (*polled == 0) {
     return sched::StepResult::Idle(cfg.poll_interval);
@@ -1122,6 +1200,14 @@ sched::StepResult TaskRuntime::StepDraining() {
       now >= drain_quiet_until_) {
     return FinishWithTail();
   }
+  auto wait = AdvanceCommit();
+  if (!wait.ok()) {
+    run_status_ = wait.status();
+    return FinishWithTail();
+  }
+  if (*wait > 0) {
+    return sched::StepResult::Idle(*wait);
+  }
   auto polled = PollInputs();
   if (!polled.ok()) {
     run_status_ = polled.status();
@@ -1132,18 +1218,24 @@ sched::StepResult TaskRuntime::StepDraining() {
   // and withholding every flush/commit until FinishWithTail would stall
   // downstream consumers for that whole window. Intermediate commits are
   // ordinary commits — the final cut still covers whatever remains.
-  run_status_ = RunCadence();
-  if (!run_status_.ok()) {
+  wait = RunCadence();
+  if (!wait.ok()) {
+    run_status_ = wait.status();
     return FinishWithTail();
   }
   if (*polled > 0) {
     drain_quiet_until_ = wiring_.clock->Now() + drain_quiet_;
+  }
+  if (*wait > 0) {
+    return sched::StepResult::Idle(*wait);
+  }
+  if (*polled > 0) {
     return sched::StepResult::Ready();
   }
   return sched::StepResult::Idle(cfg.poll_interval);
 }
 
-Status TaskRuntime::RunCadence() {
+Result<DurationNs> TaskRuntime::RunCadence() {
   const EngineConfig& cfg = wiring_.config;
   TimeNs now = wiring_.clock->Now();
   if (now >= next_timer_) {
@@ -1156,39 +1248,58 @@ Status TaskRuntime::RunCadence() {
   }
   IMPELLER_RETURN_IF_ERROR(MaybeFlush(force_flush));
   now = wiring_.clock->Now();
-  if (now < next_commit_) {
-    return OkStatus();
-  }
-  if (now - next_commit_ >= cfg.commit_interval) {
-    // A full interval late: the task cannot keep its commit cadence —
-    // the backpressure signal the autoscaler watches.
-    commit_overruns_.fetch_add(1, std::memory_order_relaxed);
-    if (wiring_.metrics != nullptr) {
-      wiring_.metrics->GetCounter("task/commit_overruns")->Add();
+  if (commit_stage_ == CommitStage::kIdle && now >= next_commit_) {
+    if (now - next_commit_ >= cfg.commit_interval) {
+      // A full interval late: the task cannot keep its commit cadence —
+      // the backpressure signal the autoscaler watches.
+      commit_overruns_.fetch_add(1, std::memory_order_relaxed);
+      if (wiring_.metrics != nullptr) {
+        wiring_.metrics->GetCounter("task/commit_overruns")->Add();
+      }
     }
+    commit_stage_ = CommitStage::kDue;
   }
-  IMPELLER_RETURN_IF_ERROR(Commit());
-  next_commit_ = wiring_.clock->Now() + cfg.commit_interval;
-  return OkStatus();
+  return AdvanceCommit();
 }
 
 sched::StepResult TaskRuntime::FinishWithTail() {
-  Status flush = MaybeFlush(true);
-  if (flush.ok()) {
-    flush = Commit();
+  if (phase_ != Phase::kTail) {
+    phase_ = Phase::kTail;
+    tail_status_ = MaybeFlush(true);
+    if (commit_stage_ == CommitStage::kIdle) {
+      commit_stage_ = CommitStage::kDue;
+    }
   }
-  if (flush.ok() && txn_inflight_.valid()) {
-    txn_inflight_.wait();
-    flush = txn_inflight_.get();
+  if (tail_status_.ok()) {
+    auto wait = AdvanceCommit();
+    if (!wait.ok()) {
+      tail_status_ = wait.status();
+    } else if (*wait > 0) {
+      return sched::StepResult::Idle(*wait);
+    }
+  }
+  if (tail_status_.ok() && txn_inflight_.valid()) {
+    if (txn_inflight_.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready) {
+      return sched::StepResult::Idle(wiring_.config.poll_interval);
+    }
+    tail_status_ = txn_inflight_.get();
     txn_inflight_ = {};
   }
-  if (!flush.ok() && run_status_.ok()) {
-    run_status_ = flush;
+  if (!tail_status_.ok() && run_status_.ok()) {
+    run_status_ = tail_status_;
   }
   return FinishEpilogue();
 }
 
 sched::StepResult TaskRuntime::FinishEpilogue() {
+  phase_ = Phase::kExiting;
+  // Crashed and fenced exits too: never report Done while an admitted
+  // append is unacked, so a replacement's ReadLast sees all of it.
+  TimeNs now = wiring_.clock->Now();
+  if (now < pending_ack_at_) {
+    return sched::StepResult::Idle(pending_ack_at_ - now);
+  }
   if (Crashed() && run_status_.ok()) {
     run_status_ = UnavailableError("task crashed (simulated server failure)");
   }

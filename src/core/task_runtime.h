@@ -37,12 +37,13 @@
 #include "src/core/query.h"
 #include "src/core/substream_reader.h"
 #include "src/kvstore/kv_store.h"
+#include "src/obs/trace.h"
+#include "src/protocols/txn_coordinator.h"
 #include "src/sched/scheduler.h"
 #include "src/sharedlog/shared_log.h"
 
 namespace impeller {
 
-class TxnCoordinator;
 class BarrierCoordinator;
 
 // One source task of a stateful rescale handoff under a marker protocol:
@@ -220,15 +221,33 @@ class TaskRuntime final : public OperatorContext {
   // crashed (the run loop exits without flushing, as if the server died) and
   // returns true; a kDelay action stalls the task here. Points:
   //   task/flush/pre        before an output-buffer flush
-  //   task/flush/post       flush durable, epoch bookkeeping not yet updated
-  //   task/commit/pre_marker  outputs flushed, marker not yet appended
-  //   task/commit/post_marker marker durable, commit not yet acknowledged
+  //   task/flush/post       flush admitted, epoch bookkeeping not yet updated
+  //   task/commit/pre_marker  outputs durable, marker not yet appended
+  //   task/commit/post_marker marker admitted, commit not yet acknowledged
   //   task/checkpoint/mid   snapshot stored, barriers not yet forwarded
   bool MaybeInjectCrash(const char* point);
 
-  Status Commit();
+  // The commit a due cadence slot runs, spread over as many steps as its
+  // modeled waits need (no step ever sleeps on one):
+  //   kIdle     no commit due;
+  //   kDue      due; kafka-txn waits here for the previous transaction;
+  //   kFlushed  the epoch's outputs are admitted; the marker or transaction
+  //             request is issued once their ack has passed;
+  //   kPhaseOne kafka-txn: the transaction's phase one is in flight.
+  enum class CommitStage { kIdle, kDue, kFlushed, kPhaseOne };
+  // Moves the commit forward as far as the clock allows. Returns the wait
+  // until it can move again — an admitted append's ack, phase one's next
+  // step, or the previous transaction — or 0 when nothing is outstanding.
+  // A step must not poll input while this is non-zero.
+  Result<DurationNs> AdvanceCommit();
+  // kDue: skips an idle epoch, otherwise admits the commit-time flush.
+  Status BeginCommit();
+  // kFlushed, outputs durable: admits the progress marker.
   Status CommitProgressMarking();
+  // kFlushed, outputs durable: starts the transaction's phase one.
   Status CommitKafkaTxn();
+  // The commit is over (or skipped): the cadence restarts from now.
+  void EndCommit();
 
   // Aligned-checkpoint plumbing. Barriers are queued during a poll and
   // applied interleaved with record processing in substream order; channels
@@ -245,20 +264,25 @@ class TaskRuntime final : public OperatorContext {
   std::vector<std::string> DownstreamMarkerTags() const;
 
   // Step() state machine: kInit recovers, kRunning is the steady-state
-  // poll/flush/commit loop, kDraining is the graceful-stop drain, kDone is
-  // terminal.
-  enum class Phase { kInit, kRunning, kDraining, kDone };
+  // poll/flush/commit loop, kDraining is the graceful-stop drain, kTail is
+  // the final flush + commit, kExiting waits out the last admitted append's
+  // ack, kDone is terminal.
+  enum class Phase { kInit, kRunning, kDraining, kTail, kExiting, kDone };
   sched::StepResult StepInit();
   sched::StepResult StepRunning();
   sched::StepResult StepDraining();
   // The output cadence both kRunning and kDraining keep after a poll: due
   // timers, then a forced (interval elapsed) or conditional flush, then a
   // due commit, counting it as an overrun when a full interval late.
-  Status RunCadence();
+  // Returns AdvanceCommit()'s wait.
+  Result<DurationNs> RunCadence();
   // Final flush + commit (+ transaction wait) of a graceful stop, then the
-  // epilogue. Entered from kDraining however the drain ended.
+  // epilogue. Entered from kDraining however the drain ended; re-entered
+  // (as kTail) until the commit's waits are over.
   sched::StepResult FinishWithTail();
-  // Publishes final_status_ and flips to kDone.
+  // Enters kExiting; once no admitted append is left unacked, publishes
+  // final_status_ and flips to kDone. A replacement's recovery therefore
+  // sees every record this instance admitted.
   sched::StepResult FinishEpilogue();
 
   TaskWiring wiring_;
@@ -343,7 +367,15 @@ class TaskRuntime final : public OperatorContext {
   std::set<std::string> epoch_touched_tags_;
   std::vector<std::pair<std::string, Lsn>> last_input_ends_;
 
-  // Kafka txn: at most one commit in flight.
+  // Commit progress across steps (see CommitStage). pending_ack_at_ is the
+  // latest ack time over every batch this instance admitted.
+  CommitStage commit_stage_ = CommitStage::kIdle;
+  TimeNs pending_ack_at_ = 0;
+  obs::StepSpan commit_span_;  // protocol/commit_marker or commit_txn
+
+  // Kafka txn: at most one commit in flight — phase one while stepping it,
+  // then phase two's future.
+  std::unique_ptr<TxnCoordinator::PhaseOne> txn_phase_one_;
   std::shared_future<Status> txn_inflight_;
 
   // Aligned checkpointing.
@@ -361,6 +393,7 @@ class TaskRuntime final : public OperatorContext {
   // the scheduler serializes steps of one entity).
   Phase phase_ = Phase::kInit;
   Status run_status_;
+  Status tail_status_;  // kTail: the final flush + commit's own outcome
   TimeNs next_commit_ = 0;
   TimeNs next_timer_ = 0;
   TimeNs next_flush_ = 0;

@@ -1,5 +1,6 @@
 #include "src/obs/trace.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace impeller {
@@ -98,19 +99,26 @@ std::vector<TraceRecord> TraceCollector::Drain() {
     buffers = buffers_;
   }
   std::vector<TraceRecord> out;
+  std::vector<const ThreadBuffer*> exited;
   for (const auto& buffer : buffers) {
     std::lock_guard<std::mutex> lock(buffer->mu);
+    // Registry + local copy are the only references once the thread's
+    // thread_local has gone, so the thread has exited. Deciding that under
+    // the lock this drain holds means nothing can be written after it.
+    if (buffer.use_count() == 2) {
+      exited.push_back(buffer.get());
+    }
     for (uint64_t i = buffer->drained; i < buffer->written; ++i) {
       out.push_back(buffer->ring[i % buffer->ring.size()]);
     }
     buffer->drained = buffer->written;
   }
-  {
-    // Release buffers whose thread has exited (registry + local copy are
-    // the only remaining references); their records were just extracted.
+  if (!exited.empty()) {
+    // Release the exited threads' buffers; their records were just taken.
     std::lock_guard<std::mutex> lock(registry_mu_);
-    std::erase_if(buffers_, [](const std::shared_ptr<ThreadBuffer>& b) {
-      return b.use_count() == 2;
+    std::erase_if(buffers_, [&](const std::shared_ptr<ThreadBuffer>& b) {
+      return std::find(exited.begin(), exited.end(), b.get()) !=
+             exited.end();
     });
   }
   return out;

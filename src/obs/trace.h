@@ -129,6 +129,35 @@ class SpanGuard {
   bool active_ = false;
 };
 
+// A span that opens and closes in different calls, e.g. a commit that a
+// cooperative task carries across several scheduler steps. Open() samples
+// the clock when tracing is on; Close() records the span into the closing
+// thread's ring. Compiled to no-ops with IMPELLER_TRACING off.
+class StepSpan {
+ public:
+  void Open() {
+#if defined(IMPELLER_TRACING_ENABLED)
+    start_ns_ = TraceCollector::Get().enabled() ? TraceNowNs() : 0;
+#endif
+  }
+  void Close(const char* category, const char* name) {
+#if defined(IMPELLER_TRACING_ENABLED)
+    if (start_ns_ != 0) {
+      TraceCollector::Get().RecordSpan(category, name, start_ns_,
+                                       TraceNowNs(),
+                                       TraceCollector::CurrentDepth());
+      start_ns_ = 0;
+    }
+#else
+    (void)category;
+    (void)name;
+#endif
+  }
+
+ private:
+  int64_t start_ns_ = 0;  // 0 = not open, or tracing was off at Open()
+};
+
 }  // namespace obs
 }  // namespace impeller
 

@@ -36,19 +36,16 @@ void TxnCoordinator::Stop() {
   worker_.Join();
 }
 
-void TxnCoordinator::SleepRpc() {
-  DurationNs d;
-  {
-    std::lock_guard<std::mutex> lock(rng_mu_);
-    d = static_cast<DurationNs>(rng_.NextLogNormal(
-        static_cast<double>(options_.rpc_median), options_.rpc_sigma));
-  }
-  clock_->SleepFor(d);
+DurationNs TxnCoordinator::RpcDelay() {
+  std::lock_guard<std::mutex> lock(rng_mu_);
+  return static_cast<DurationNs>(rng_.NextLogNormal(
+      static_cast<double>(options_.rpc_median), options_.rpc_sigma));
 }
 
-Status TxnCoordinator::AppendTxnStream(TxnControlKind kind, uint64_t txn_id,
-                                       const std::string& task_id,
-                                       uint64_t instance) {
+Result<TimeNs> TxnCoordinator::AdmitTxnStream(TxnControlKind kind,
+                                              uint64_t txn_id,
+                                              const std::string& task_id,
+                                              uint64_t instance) {
   TxnControlBody body;
   body.kind = kind;
   body.txn_id = txn_id;
@@ -62,19 +59,16 @@ Status TxnCoordinator::AppendTxnStream(TxnControlKind kind, uint64_t txn_id,
   req.payload = EncodeEnvelope(header, EncodeTxnControlBody(body));
   std::vector<AppendRequest> batch;
   batch.push_back(std::move(req));
-  auto lsns =
-      retrier_.Run("txn_stream_append", [&] { return log_->AppendBatch(batch); });
-  if (!lsns.ok()) {
-    return lsns.status();
+  auto admitted =
+      retrier_.Run("txn_stream_append", [&] { return log_->AdmitBatch(batch); });
+  if (!admitted.ok()) {
+    return admitted.status();
   }
-  return OkStatus();
+  return admitted->ack_at;
 }
 
-Result<std::shared_future<Status>> TxnCoordinator::CommitTransaction(
-    TxnRequest request) {
-  // Phase one runs synchronously on the committing task's thread: two RPC
-  // round trips plus two coordinator log appends (§3.6).
-  TRACE_SPAN("protocol", "txn_phase1");
+Result<std::unique_ptr<TxnCoordinator::PhaseOne>>
+TxnCoordinator::BeginTransaction(TxnRequest request) {
   if (!running_.load()) {
     return UnavailableError("coordinator stopped");
   }
@@ -96,30 +90,94 @@ Result<std::shared_future<Status>> TxnCoordinator::CommitTransaction(
       f.kind == fault::FaultKind::kDelay) {
     clock_->SleepFor(f.delay);
   }
+  auto txn = std::make_unique<PendingTxn>();
+  txn->request = std::move(request);
+  txn->txn_id = txn_id;
+  return std::unique_ptr<PhaseOne>(new PhaseOne(this, std::move(txn)));
+}
 
-  // Phase one, step 1: register written streams with the coordinator.
-  SleepRpc();  // task -> coordinator
-  IMPELLER_RETURN_IF_ERROR(AppendTxnStream(TxnControlKind::kRegistration,
-                                           txn_id, request.task_id,
-                                           request.instance));
-  SleepRpc();  // coordinator -> task
-
-  // Phase one, step 2: ask the coordinator to commit; it appends the
-  // pre-commit record before replying.
-  SleepRpc();  // task -> coordinator
-  IMPELLER_RETURN_IF_ERROR(AppendTxnStream(TxnControlKind::kPreCommit, txn_id,
-                                           request.task_id,
-                                           request.instance));
-
-  auto pending = std::make_unique<PendingTxn>();
-  pending->request = std::move(request);
-  pending->txn_id = txn_id;
-  std::shared_future<Status> done = pending->done.get_future().share();
-  if (!phase2_.Push(std::move(pending))) {
-    return UnavailableError("coordinator stopped");
+Result<std::shared_future<Status>> TxnCoordinator::CommitTransaction(
+    TxnRequest request) {
+  auto phase_one = BeginTransaction(std::move(request));
+  if (!phase_one.ok()) {
+    return phase_one.status();
   }
-  SleepRpc();  // coordinator -> task (pre-commit response)
-  return done;
+  while (DurationNs wait = (*phase_one)->Poll()) {
+    clock_->SleepFor(wait);
+  }
+  return (*phase_one)->result();
+}
+
+TxnCoordinator::PhaseOne::PhaseOne(TxnCoordinator* coordinator,
+                                   std::unique_ptr<PendingTxn> txn)
+    : coordinator_(coordinator),
+      txn_(std::move(txn)),
+      result_(UnavailableError("transaction phase one in progress")) {
+  span_.Open();
+  // The registration request's task -> coordinator leg.
+  due_ = coordinator_->clock_->Now() + coordinator_->RpcDelay();
+}
+
+DurationNs TxnCoordinator::PhaseOne::Poll() {
+  TxnCoordinator& c = *coordinator_;
+  while (stage_ != Stage::kDone) {
+    TimeNs now = c.clock_->Now();
+    if (now < due_) {
+      return due_ - now;
+    }
+    switch (stage_) {
+      case Stage::kRegister: {
+        // Step 1: register the written streams with the coordinator; its
+        // reply and the commit request follow the registration's ack.
+        const TxnRequest& req = txn_->request;
+        auto ack = c.AdmitTxnStream(TxnControlKind::kRegistration,
+                                    txn_->txn_id, req.task_id, req.instance);
+        if (!ack.ok()) {
+          Finish(ack.status());
+          break;
+        }
+        due_ = *ack + c.RpcDelay() + c.RpcDelay();
+        stage_ = Stage::kPreCommit;
+        break;
+      }
+      case Stage::kPreCommit: {
+        // Step 2: the coordinator appends the pre-commit record before it
+        // hands the transaction to phase two and replies.
+        const TxnRequest& req = txn_->request;
+        auto ack = c.AdmitTxnStream(TxnControlKind::kPreCommit, txn_->txn_id,
+                                    req.task_id, req.instance);
+        if (!ack.ok()) {
+          Finish(ack.status());
+          break;
+        }
+        due_ = *ack;
+        stage_ = Stage::kHandOff;
+        break;
+      }
+      case Stage::kHandOff:
+        done_ = txn_->done.get_future().share();
+        if (!c.phase2_.Push(std::move(txn_))) {
+          Finish(UnavailableError("coordinator stopped"));
+          break;
+        }
+        due_ = now + c.RpcDelay();  // the pre-commit response leg
+        stage_ = Stage::kReply;
+        break;
+      case Stage::kReply:
+        Finish(done_);
+        break;
+      case Stage::kDone:
+        break;
+    }
+  }
+  return 0;
+}
+
+void TxnCoordinator::PhaseOne::Finish(
+    Result<std::shared_future<Status>> result) {
+  result_ = std::move(result);
+  stage_ = Stage::kDone;
+  span_.Close("protocol", "txn_phase1");
 }
 
 void TxnCoordinator::WorkerLoop() {
@@ -210,10 +268,13 @@ void TxnCoordinator::WorkerLoop() {
           UnavailableError("injected coordinator failure after commit"));
       continue;
     }
-    Status final = AppendTxnStream(TxnControlKind::kTxnCommitted, txn.txn_id,
-                                   req.task_id, req.instance);
+    auto ack = AdmitTxnStream(TxnControlKind::kTxnCommitted, txn.txn_id,
+                              req.task_id, req.instance);
+    if (ack.ok()) {
+      log_->AwaitAck(*ack);
+    }
     committed_.fetch_add(1);
-    txn.done.set_value(final);
+    txn.done.set_value(ack.status());
   }
 }
 

@@ -1,11 +1,13 @@
 // The Kafka Streams transaction protocol re-implemented over the shared log,
 // mirroring paper §3.6 and the in-Impeller baseline of §5.1.
 //
-// Phase one (synchronous, on the calling task's thread): the task registers
-// the substreams it wrote this transaction — the coordinator appends a
-// registration record to its transaction stream — then requests commit; the
-// coordinator appends a pre-commit record and replies. Each interaction pays
-// a modeled RPC latency plus a real log append.
+// Phase one (driven by the calling task): the task registers the substreams
+// it wrote this transaction — the coordinator appends a registration record
+// to its transaction stream — then requests commit; the coordinator appends
+// a pre-commit record and replies. Each interaction pays a modeled RPC
+// latency plus a real log append. A task steps phase one cooperatively
+// (BeginTransaction + PhaseOne::Poll), holding each modeled wait as a due
+// time instead of sleeping its scheduler worker on it.
 //
 // Phase two (asynchronous, coordinator worker thread): the coordinator
 // appends a commit control record to every registered substream (committing
@@ -31,6 +33,7 @@
 #include "src/common/status.h"
 #include "src/common/threading.h"
 #include "src/core/marker.h"
+#include "src/obs/trace.h"
 #include "src/sharedlog/shared_log.h"
 
 namespace impeller {
@@ -61,6 +64,12 @@ struct TxnRequest {
 };
 
 class TxnCoordinator {
+  struct PendingTxn {
+    TxnRequest request;
+    uint64_t txn_id;
+    std::promise<Status> done;
+  };
+
  public:
   TxnCoordinator(SharedLog* log, Clock* clock,
                  TxnCoordinatorOptions options = {});
@@ -69,24 +78,55 @@ class TxnCoordinator {
   void Start();
   void Stop();
 
-  // Runs phase one synchronously; returns a future resolved when phase two
-  // commits the transaction. kFenced when the instance was superseded.
+  // Phase one of one transaction. Each Poll() runs the phase-one steps whose
+  // modeled delay (an RPC leg or a coordinator-log ack) has elapsed, so no
+  // call parks the caller's thread on a wait.
+  class PhaseOne {
+   public:
+    // Advances phase one as far as the clock allows. Returns the wait until
+    // its next step is due, or 0 once phase one is over; result() then
+    // holds the future phase two resolves, or the failure.
+    DurationNs Poll();
+    const Result<std::shared_future<Status>>& result() const {
+      return result_;
+    }
+
+   private:
+    friend class TxnCoordinator;
+    enum class Stage { kRegister, kPreCommit, kHandOff, kReply, kDone };
+
+    PhaseOne(TxnCoordinator* coordinator, std::unique_ptr<PendingTxn> txn);
+    void Finish(Result<std::shared_future<Status>> result);
+
+    TxnCoordinator* coordinator_;
+    std::unique_ptr<PendingTxn> txn_;
+    Stage stage_ = Stage::kRegister;
+    TimeNs due_ = 0;
+    std::shared_future<Status> done_;
+    Result<std::shared_future<Status>> result_;
+    obs::StepSpan span_;  // "protocol/txn_phase1", start to Finish
+  };
+
+  // Starts phase one (the instance fencing check runs here) and returns the
+  // state machine the caller drives with Poll(). kFenced when the instance
+  // was superseded.
+  Result<std::unique_ptr<PhaseOne>> BeginTransaction(TxnRequest request);
+
+  // BeginTransaction driven to completion by sleeping through its waits;
+  // returns the future resolved when phase two commits the transaction.
   Result<std::shared_future<Status>> CommitTransaction(TxnRequest request);
 
   const std::string& txn_stream_tag() const { return txn_stream_tag_; }
   uint64_t committed_txns() const { return committed_.load(); }
 
  private:
-  struct PendingTxn {
-    TxnRequest request;
-    uint64_t txn_id;
-    std::promise<Status> done;
-  };
-
-  void SleepRpc();
+  // One modeled one-way RPC latency.
+  DurationNs RpcDelay();
   void WorkerLoop();
-  Status AppendTxnStream(TxnControlKind kind, uint64_t txn_id,
-                         const std::string& task_id, uint64_t instance);
+  // Admits one record to the transaction stream; returns its ack time.
+  Result<TimeNs> AdmitTxnStream(TxnControlKind kind, uint64_t txn_id,
+                                const std::string& task_id,
+                                uint64_t instance);
 
   SharedLog* log_;
   Clock* clock_;

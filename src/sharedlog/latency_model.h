@@ -3,8 +3,9 @@
 // for Boki vs Kafka at 10/50/100 appends/s); see DESIGN.md §1.
 //
 // An append experiences:
-//   ack      — time until the append is ordered + durable (the appender's
-//              Append() call blocks this long; batched appends share it),
+//   ack      — time until the append is ordered + durable (the admitted
+//              batch's ack_at; AppendBatch waits this long, AdmitBatch
+//              returns at once; batched appends share it),
 //   delivery — additional propagation until readers can observe the record.
 // Both are sampled per batch. Kafka's model adds an idle penalty: a partition
 // that has been quiet pays a cold-path cost with a heavy tail, which is why

@@ -68,7 +68,7 @@ SharedLog::SharedLog(SharedLogOptions options)
 Result<Lsn> SharedLog::Append(AppendRequest req) {
   std::vector<AppendRequest> batch;
   batch.push_back(std::move(req));
-  auto lsns = AppendBatchInternal(batch);
+  auto lsns = AppendBatch(batch);
   if (!lsns.ok()) {
     return lsns.status();
   }
@@ -77,10 +77,23 @@ Result<Lsn> SharedLog::Append(AppendRequest req) {
 
 Result<std::vector<Lsn>> SharedLog::AppendBatch(
     std::vector<AppendRequest>& reqs) {
-  if (reqs.empty()) {
-    return InvalidArgumentError("empty append batch");
+  auto admitted = AdmitBatch(reqs);
+  if (!admitted.ok()) {
+    return admitted.status();
   }
-  return AppendBatchInternal(reqs);
+  AwaitAck(admitted->ack_at);
+  return std::move(admitted->lsns);
+}
+
+void SharedLog::AwaitAck(TimeNs ack_at) {
+  // Records become visible to tag readers only after the additional
+  // delivery latency (§2.3); this span is exactly the modeled ack round
+  // trip a caller pays per sequential append it waits for.
+  TRACE_SPAN("log", "append_ack_wait");
+  TimeNs now = clock_->Now();
+  if (ack_at > now) {
+    clock_->SleepFor(ack_at - now);
+  }
 }
 
 uint32_t SharedLog::ShardOfTag(std::string_view tag) const {
@@ -108,8 +121,11 @@ uint32_t SharedLog::PlaceShard(const std::vector<AppendRequest>& reqs) {
   return live_[rr_next_.fetch_add(1) % live_.size()];
 }
 
-Result<std::vector<Lsn>> SharedLog::AppendBatchInternal(
+Result<AdmittedBatch> SharedLog::AdmitBatch(
     std::vector<AppendRequest>& reqs) {
+  if (reqs.empty()) {
+    return InvalidArgumentError("empty append batch");
+  }
   TRACE_SPAN("log", "append");
   size_t batch_bytes = 0;
   for (const auto& r : reqs) {
@@ -159,22 +175,11 @@ Result<std::vector<Lsn>> SharedLog::AppendBatchInternal(
   if (!admitted.ok()) {
     return admitted.status();
   }
-  auto lsns = metalog_.Sequence(shard, admitted->first_local,
-                                admitted->count);
+  AdmittedBatch out;
+  out.lsns = metalog_.Sequence(shard, admitted->first_local, admitted->count);
+  out.ack_at = admitted->ack_done + admitted->injected_ack_delay;
   CountAppend(shard, admitted->count, batch_bytes);
-  {
-    // The appender observes the ack latency; records become visible to tag
-    // readers only after the additional delivery latency (§2.3), so the gap
-    // between this child span and the parent's end is exactly the modeled
-    // ack round trip the protocols pay per sequential append.
-    TRACE_SPAN("log", "append_ack_wait");
-    TimeNs wake = admitted->ack_done + admitted->injected_ack_delay;
-    TimeNs now = clock_->Now();
-    if (wake > now) {
-      clock_->SleepFor(wake - now);
-    }
-  }
-  return lsns;
+  return out;
 }
 
 Result<LogEntry> SharedLog::ReadNext(std::string_view tag, Lsn from_lsn) {
@@ -353,11 +358,7 @@ void SharedLog::AppendControlRecord(const char* kind, uint32_t shard,
     CountAppend(target, admitted->count, bytes);
     // The record must be durable before the epoch bump publishes the
     // reconfiguration, exactly like a regular append's ack wait.
-    TimeNs wake = admitted->ack_done + admitted->injected_ack_delay;
-    TimeNs now = clock_->Now();
-    if (wake > now) {
-      clock_->SleepFor(wake - now);
-    }
+    AwaitAck(admitted->ack_done + admitted->injected_ack_delay);
     return;
   }
   LOG_ERROR << options_.name << ": could not durably log " << kind

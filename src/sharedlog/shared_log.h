@@ -10,8 +10,11 @@
 //  * conditional appends fenced on the log's key-value configuration
 //    metadata (zombie fencing, §3.4);
 //  * a trim API that garbage-collects a prefix of the log (§3.5);
-//  * a calibrated latency model: appends block for an "ack" latency and
-//    become visible to tag readers after an additional "delivery" latency.
+//  * a calibrated latency model: an append is durable an "ack" latency after
+//    admission and visible to tag readers after an additional "delivery"
+//    latency. Admission (`AdmitBatch`) never waits; an appender that needs
+//    the ack waits for it separately (`AwaitAck`), so a cooperative task can
+//    keep the ack as state instead of parking its thread on it.
 //
 // Internally the log is sharded (DESIGN.md §8): each batch is placed on one
 // shard by the hash of its first tag, admitted by that shard's sequencer at
@@ -89,23 +92,37 @@ struct SharedLogStats {
   uint64_t placement_epoch = 0;  // current epoch, not a counter
 };
 
+// A batch the log has admitted: its records hold their LSNs, and the
+// appender's ack arrives at `ack_at` (the modeled ack plus any injected ack
+// delay); the records are durable by then.
+struct AdmittedBatch {
+  std::vector<Lsn> lsns;
+  TimeNs ack_at = 0;
+};
+
 class SharedLog {
  public:
   explicit SharedLog(SharedLogOptions options = {});
 
-  // Appends one record; blocks for the modeled ack latency and returns the
-  // assigned LSN. Conditional appends (req.cond_key non-empty) fail with
-  // kFenced when metadata[cond_key] != cond_value.
-  Result<Lsn> Append(AppendRequest req);
+  // Admits a batch atomically in arrival order with one shared ack latency
+  // (models the 128 KiB output buffer flush, §5.3) and returns without
+  // waiting for that ack. The whole batch lands on one shard, so its LSNs
+  // are contiguous in the global order; a later admission on the same shard
+  // is ordered after it. If any conditional check (req.cond_key non-empty)
+  // fails the whole batch is rejected with kFenced. Consumes the requests
+  // (payloads are moved out) only on success; on any failure — fencing,
+  // injected kUnavailable — `reqs` is left intact so callers can retry the
+  // same batch without copying.
+  Result<AdmittedBatch> AdmitBatch(std::vector<AppendRequest>& reqs);
 
-  // Appends a batch atomically in arrival order with one shared ack latency
-  // (models the 128 KiB output buffer flush, §5.3). The whole batch lands
-  // on one shard, so its LSNs are contiguous in the global order. If any
-  // conditional check fails the whole batch is rejected with kFenced.
-  // Consumes the requests (payloads are moved out) only on success; on any
-  // failure — fencing, injected kUnavailable — `reqs` is left intact so
-  // callers can retry the same batch without copying.
+  // Blocks the calling thread until `ack_at` (an AdmittedBatch's ack time).
+  void AwaitAck(TimeNs ack_at);
+
+  // AdmitBatch followed by AwaitAck: returns once the batch is durable.
   Result<std::vector<Lsn>> AppendBatch(std::vector<AppendRequest>& reqs);
+
+  // Appends one record and waits for its ack; returns the assigned LSN.
+  Result<Lsn> Append(AppendRequest req);
 
   // Selective read: the first record tagged `tag` with lsn >= from_lsn.
   // Returns records strictly in LSN order per tag: if the next matching
@@ -186,9 +203,6 @@ class SharedLog {
   const std::string& name() const { return options_.name; }
 
  private:
-  Result<std::vector<Lsn>> AppendBatchInternal(
-      std::vector<AppendRequest>& reqs);
-
   // The shard a batch is placed on: hash of the first non-empty tag list's
   // first tag over the live-shard list, round-robin for untagged batches.
   uint32_t PlaceShard(const std::vector<AppendRequest>& reqs);

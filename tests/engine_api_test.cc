@@ -1,14 +1,167 @@
 // Engine/TaskManager API-contract tests: misuse is rejected with clear
-// errors instead of undefined behaviour.
+// errors instead of undefined behaviour, and no scheduler worker is ever
+// parked on a modeled log ack.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <mutex>
+#include <thread>
+
+#include "src/core/checkpoint.h"
+#include "src/core/record.h"
+#include "src/core/stream.h"
+#include "src/nexmark/driver.h"
+#include "src/sharedlog/latency_model.h"
 #include "tests/test_util.h"
 
 namespace impeller {
 namespace {
 
 using testutil::FastConfig;
+using testutil::WaitFor;
 using testutil::WordCountPlan;
+
+// Real-time clock that sums the time each thread spends in SleepFor.
+class SleepTallyClock final : public Clock {
+ public:
+  TimeNs Now() const override { return base_->Now(); }
+  void SleepFor(DurationNs d) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      slept_[std::this_thread::get_id()] += d;
+    }
+    base_->SleepFor(d);
+  }
+  DurationNs SleptBy(std::thread::id thread) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = slept_.find(thread);
+    return it == slept_.end() ? 0 : it->second;
+  }
+
+ private:
+  Clock* base_ = MonotonicClock::Get();
+  mutable std::mutex mu_;
+  std::map<std::thread::id, DurationNs> slept_;
+};
+
+// The engine's only worker thread, learned from a probe entity.
+std::thread::id WorkerThread(Engine& engine) {
+  std::mutex mu;
+  std::thread::id worker;
+  sched::Ticket ticket = engine.scheduler()->Submit([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    worker = std::this_thread::get_id();
+    return sched::StepResult::Done();
+  });
+  engine.scheduler()->Wait(ticket);
+  std::lock_guard<std::mutex> lock(mu);
+  return worker;
+}
+
+// Flushes, progress markers and transaction commits hold their modeled
+// waits as step state (StepResult::Idle), so under the calibrated Boki
+// model the one worker running all four Q1 tasks never sleeps.
+TEST(EngineApiTest, NoWorkerSleepsOnALogAck) {
+  for (ProtocolKind protocol :
+       {ProtocolKind::kProgressMarking, ProtocolKind::kKafkaTxn}) {
+    SleepTallyClock clock;
+    EngineOptions options;
+    options.config = FastConfig(protocol);
+    options.config.commit_interval = 100 * kMillisecond;
+    options.config.output_flush_interval = 10 * kMillisecond;
+    options.config.sched_workers = 1;
+    options.config.log_shards = 2;
+    options.log_latency = std::make_shared<CalibratedLatencyModel>(
+        CalibratedLatencyModel::BokiParams(), 7);
+    options.clock = &clock;
+    Engine engine(std::move(options));
+    NexmarkQueryOptions query;
+    query.tasks_per_stage = 4;
+    auto plan = BuildNexmarkQuery(1, query);
+    ASSERT_TRUE(plan.ok());
+    ASSERT_TRUE(engine.Submit(std::move(*plan)).ok());
+    std::thread::id worker = WorkerThread(engine);
+
+    NexmarkDriverOptions load;
+    load.events_per_sec = 4000;
+    auto driver = NexmarkDriver::Create(&engine, 1, load);
+    ASSERT_TRUE(driver.ok());
+    (*driver)->RunFor(kSecond);
+    Counter* out = engine.metrics()->GetCounter("out/" + NexmarkSinkName(1));
+    EXPECT_TRUE(WaitFor([&] { return out->Get() > 0; }))
+        << "the run must commit output for the check to mean anything";
+    engine.Stop();
+    EXPECT_EQ(clock.SleptBy(worker), 0)
+        << "protocol " << static_cast<int>(protocol);
+  }
+}
+
+// A task that crashes right after admitting its progress marker reports
+// finished() only once the marker is durable, so its replacement recovers
+// to exactly that marker.
+TEST(EngineApiTest, CrashAfterMarkerAdmitWaitsOutItsAck) {
+#if !defined(IMPELLER_FAULT_INJECTION_ENABLED)
+  GTEST_SKIP() << "built with IMPELLER_FAULT_INJECTION=OFF";
+#endif
+  CalibratedLatencyParams params;
+  params.ack_median = 40 * kMillisecond;
+  params.ack_sigma = 0.01;
+  params.delivery_median = kMillisecond;
+  params.delivery_sigma = 0.01;
+  EngineOptions options;
+  options.config = FastConfig(ProtocolKind::kProgressMarking);
+  options.log_latency = std::make_shared<CalibratedLatencyModel>(params, 3);
+  Engine engine(std::move(options));
+  auto plan = WordCountPlan(1);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(engine.Submit(std::move(*plan)).ok());
+  fault::FaultSchedule crash;
+  crash.point = "task/commit/post_marker";
+  crash.kind = fault::FaultKind::kCrash;
+  crash.detail_substr = "wc/split/0";
+  crash.at_hit = 1;
+  testutil::FaultArmGuard faults({crash}, 1);
+
+  const std::string task = "wc/split/0";
+  auto producer = engine.NewProducer("gen", "lines");
+  ASSERT_TRUE(producer.ok());
+  (*producer)->Send("k", "one two three");
+  ASSERT_TRUE((*producer)->Flush().ok());
+  TaskRuntime* crashed = engine.tasks()->FindTask(task);
+  ASSERT_NE(crashed, nullptr);
+  ASSERT_TRUE(WaitFor([&] { return crashed->finished(); }));
+  // The exit waited out the marker's ack: the marker is already durable.
+  auto last = engine.log()->ReadLast(TaskLogTag(task));
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_GE(engine.clock()->Now() - last->append_time, 30 * kMillisecond);
+  auto env = DecodeEnvelope(last->payload);
+  ASSERT_TRUE(env.ok());
+  auto cut = ExtractCut(*env, last->lsn, task);
+  ASSERT_TRUE(cut.ok() && cut->has_value());
+  EXPECT_EQ((*cut)->marker_seq, 1u);
+  EXPECT_FALSE(crashed->final_status().ok());
+
+  // The replacement recovers to that marker and continues its sequence.
+  auto stats = engine.tasks()->RestartTask(task);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(stats->performed);
+  TaskRuntime* replacement = engine.tasks()->FindTask(task);
+  (*producer)->Send("k", "four five");
+  ASSERT_TRUE((*producer)->Flush().ok());
+  ASSERT_TRUE(WaitFor([&] { return replacement->markers_written() > 0; }));
+  ASSERT_TRUE(WaitFor([&] {
+    auto next = engine.log()->ReadLast(TaskLogTag(task));
+    return next.ok() && next->lsn > last->lsn;
+  }));
+  auto next = engine.log()->ReadLast(TaskLogTag(task));
+  auto next_env = DecodeEnvelope(next->payload);
+  ASSERT_TRUE(next_env.ok());
+  auto next_cut = ExtractCut(*next_env, next->lsn, task);
+  ASSERT_TRUE(next_cut.ok() && next_cut->has_value());
+  EXPECT_EQ((*next_cut)->marker_seq, 2u);
+  engine.Stop();
+}
 
 TEST(EngineApiTest, ProducersRequireSubmittedPlan) {
   Engine engine{EngineOptions{}};

@@ -287,6 +287,44 @@ TEST(SharedLogTest, LatencyModelDelaysVisibility) {
   ASSERT_TRUE(got.ok());
   TimeNs seen = MonotonicClock::Get()->Now();
   EXPECT_GE(seen - t0, 8 * kMillisecond);
+
+  // Admission and ack are separate steps. On a manual clock: AdmitBatch
+  // returns at once with the ack still ahead, recovery reads see the batch
+  // only from its ack on, tag readers only from its visible time, and
+  // AppendBatch is admission plus the wait for that ack.
+  ManualClock manual(1 * kSecond);
+  SharedLogOptions manual_opts;
+  manual_opts.latency = std::make_shared<CalibratedLatencyModel>(params, 1);
+  manual_opts.clock = &manual;
+  SharedLog split(std::move(manual_opts));
+  std::vector<AppendRequest> batch;
+  batch.push_back(Req({"b"}, "admitted"));
+  TimeNs admit_at = manual.Now();
+  auto admitted = split.AdmitBatch(batch);
+  ASSERT_TRUE(admitted.ok());
+  EXPECT_EQ(manual.Now(), admit_at) << "admission never waits";
+  EXPECT_GT(admitted->ack_at, admit_at);
+  Lsn lsn_b = admitted->lsns[0];
+  EXPECT_EQ(split.ReadLast("b").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(split.ReadAt(lsn_b).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(split.ReadNext("b", 0).status().code(), StatusCode::kNotFound);
+  manual.Set(admitted->ack_at);
+  EXPECT_TRUE(split.ReadLast("b").ok()) << "durable at its ack";
+  EXPECT_TRUE(split.ReadAt(lsn_b).ok());
+  EXPECT_EQ(split.ReadNext("b", 0).status().code(), StatusCode::kNotFound)
+      << "visible only after the delivery latency";
+  manual.Advance(20 * kMillisecond);
+  auto visible = split.ReadNext("b", 0);
+  ASSERT_TRUE(visible.ok());
+  EXPECT_EQ(visible->payload, "admitted");
+
+  std::vector<AppendRequest> blocking;
+  blocking.push_back(Req({"c"}, "appended"));
+  TimeNs append_at = manual.Now();
+  ASSERT_TRUE(split.AppendBatch(blocking).ok());
+  EXPECT_GE(manual.Now() - append_at, 1 * kMillisecond)
+      << "AppendBatch waits for the ack";
+  EXPECT_TRUE(split.ReadLast("c").ok());
 }
 
 TEST(SharedLogTest, ConcurrentAppendersGetUniqueLsns) {
