@@ -18,6 +18,7 @@ void CommitTracker::OnCommitEvent(std::string_view producer,
   if (instance < cut.instance) {
     return;  // stale event from a superseded instance
   }
+  cut.generation = ++generation_;
   if (instance > cut.instance) {
     cut.instance = instance;
     cut.committed_end = commit_lsn;
@@ -26,6 +27,18 @@ void CommitTracker::OnCommitEvent(std::string_view producer,
   if (commit_lsn > cut.committed_end) {
     cut.committed_end = commit_lsn;
   }
+}
+
+bool CommitTracker::AllCommittedSince(uint64_t gen) const {
+  if (cuts_.empty()) {
+    return false;
+  }
+  for (const auto& [producer, cut] : cuts_) {
+    if (cut.generation <= gen) {
+      return false;
+    }
+  }
+  return true;
 }
 
 CommitState CommitTracker::Classify(std::string_view producer,

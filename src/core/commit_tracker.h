@@ -58,6 +58,13 @@ class CommitTracker {
     return Classify(header.producer, header.instance, lsn);
   }
 
+  // Commit waves: every commit event gets the next generation number, kept
+  // as its producer's latest. A consumer records generation() when it
+  // commits; AllCommittedSince(gen) then tells whether every producer seen
+  // so far has committed again since (false while none is known).
+  uint64_t generation() const { return generation_; }
+  bool AllCommittedSince(uint64_t gen) const;
+
   // Duplicate suppression: returns true when (substream, producer, seq) was
   // already accepted and the record must be dropped. Keyed per substream
   // because a producer's sequence numbers are only monotone within one
@@ -81,12 +88,14 @@ class CommitTracker {
   struct ProducerCut {
     uint64_t instance = 0;
     Lsn committed_end = 0;  // exclusive
+    uint64_t generation = 0;  // of the latest commit event
   };
 
   bool read_committed_;
   // std::less<> for heterogeneous lookup: the hot path probes with
   // string_view producers decoded in place from log payloads.
   std::map<std::string, ProducerCut, std::less<>> cuts_;
+  uint64_t generation_ = 0;
   // "(substream tag)|(producer)" -> highest accepted sequence number.
   std::map<std::string, uint64_t, std::less<>> max_seq_;
   // Reused dedup-key scratch: IsDuplicate builds its composite key here so

@@ -70,6 +70,11 @@ class Operator {
   // state expiry live here.
   virtual void OnTimer(TimeNs now, Collector* out) {}
 
+  // Invoked at the start of every commit, before the epoch's outputs are
+  // flushed, so whatever the operator emits here commits together with the
+  // state changes behind it. Eager windows flush their dirty panes here.
+  virtual void OnCommit(Collector* out) {}
+
   virtual bool IsStateful() const { return false; }
 };
 

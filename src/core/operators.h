@@ -128,8 +128,8 @@ class TableAggregateOperator final : public Operator {
 //    (max observed event time minus allowed lateness) passes the window
 //    end, then is deleted.
 //  * kEagerSuppressed — Kafka Streams-style (the semantics the paper's
-//    operators follow, §4): updated panes re-emit their current value on a
-//    suppression cadence (KS's record cache flushing on commit), and are
+//    operators follow, §4): updated panes re-emit their current value at
+//    the task's next commit (KS's record cache flushing on commit), and are
 //    deleted silently once the watermark passes. Downstream consumers see a
 //    monotone stream of pane updates whose event times track fresh input,
 //    which is what makes NEXMark Q5/Q7 latency reflect pipeline delay
@@ -145,11 +145,11 @@ class WindowAggregateOperator final : public Operator {
   WindowAggregateOperator(std::string store_name, WindowSpec window,
                           AggregateFn agg,
                           DurationNs allowed_lateness = 100 * kMillisecond,
-                          WindowEmitMode mode = WindowEmitMode::kOnClose,
-                          DurationNs suppress_interval = 100 * kMillisecond);
+                          WindowEmitMode mode = WindowEmitMode::kOnClose);
   void Open(OperatorContext* ctx) override;
   void Process(uint32_t, StreamRecord record, Collector* out) override;
   void OnTimer(TimeNs now, Collector* out) override;
+  void OnCommit(Collector* out) override;
   bool IsStateful() const override { return true; }
 
  private:
@@ -163,16 +163,13 @@ class WindowAggregateOperator final : public Operator {
   AggregateFn agg_;
   DurationNs allowed_lateness_;
   WindowEmitMode mode_;
-  DurationNs suppress_interval_;
   MapStateStore* store_ = nullptr;  // (key, window start) -> (max et, acc)
   OperatorContext* ctx_ = nullptr;
   std::vector<TimeNs> scratch_starts_;
-  // Eager mode: panes updated since the last suppression flush. In-memory
-  // only; after recovery a pane re-emits on its next update or is dropped
-  // at close, which is sound because downstream consumption of pane updates
-  // is monotone (latest value wins).
+  // Eager mode: panes updated since the last commit. In-memory only, and
+  // empty at every cut: OnCommit emits them into the epoch that commits
+  // their state, so a recovered task owes no pane an update.
   std::set<std::string> dirty_panes_;
-  TimeNs next_suppress_flush_ = 0;
 };
 
 // Windowed stream-stream inner join on co-partitioned inputs 0 (left) and

@@ -110,14 +110,12 @@ void TableAggregateOperator::Process(uint32_t, StreamRecord record,
 
 WindowAggregateOperator::WindowAggregateOperator(
     std::string store_name, WindowSpec window, AggregateFn agg,
-    DurationNs allowed_lateness, WindowEmitMode mode,
-    DurationNs suppress_interval)
+    DurationNs allowed_lateness, WindowEmitMode mode)
     : store_name_(std::move(store_name)),
       window_(window),
       agg_(std::move(agg)),
       allowed_lateness_(allowed_lateness),
-      mode_(mode),
-      suppress_interval_(suppress_interval) {}
+      mode_(mode) {}
 
 void WindowAggregateOperator::Open(OperatorContext* ctx) {
   ctx_ = ctx;
@@ -181,21 +179,19 @@ void WindowAggregateOperator::EmitPane(std::string_view pane_key,
   out->Emit(std::move(result));
 }
 
-void WindowAggregateOperator::OnTimer(TimeNs now, Collector* out) {
-  // Eager mode: flush updated panes on the suppression cadence (Kafka
-  // Streams' record cache flushing at commit time).
-  if (mode_ == WindowEmitMode::kEagerSuppressed && !dirty_panes_.empty() &&
-      now >= next_suppress_flush_) {
-    for (const std::string& pane_key : dirty_panes_) {
-      std::optional<std::string> pane = store_->Get(pane_key);
-      if (pane) {
-        EmitPane(pane_key, *pane, out);
-      }
+void WindowAggregateOperator::OnCommit(Collector* out) {
+  // Eager mode: flush updated panes at commit (Kafka Streams' record cache
+  // flushing on commit).
+  for (const std::string& pane_key : dirty_panes_) {
+    std::optional<std::string> pane = store_->Get(pane_key);
+    if (pane) {
+      EmitPane(pane_key, *pane, out);
     }
-    dirty_panes_.clear();
-    next_suppress_flush_ = now + suppress_interval_;
   }
+  dirty_panes_.clear();
+}
 
+void WindowAggregateOperator::OnTimer(TimeNs, Collector* out) {
   TimeNs watermark = Watermark();
   std::vector<std::pair<std::string, std::string>> closed;
   store_->ScanPrefix("", [&](std::string_view key, std::string_view value) {

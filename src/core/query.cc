@@ -123,13 +123,12 @@ StageBuilder& StageBuilder::WindowAggregate(std::string store,
                                             WindowSpec window,
                                             AggregateFn agg,
                                             DurationNs allowed_lateness,
-                                            WindowEmitMode mode,
-                                            DurationNs suppress_interval) {
+                                            WindowEmitMode mode) {
   return AddOperator(
       [store = std::move(store), window, agg = std::move(agg),
-       allowed_lateness, mode, suppress_interval] {
+       allowed_lateness, mode] {
         return std::make_unique<WindowAggregateOperator>(
-            store, window, agg, allowed_lateness, mode, suppress_interval);
+            store, window, agg, allowed_lateness, mode);
       },
       /*stateful=*/true);
 }

@@ -84,8 +84,7 @@ class StageBuilder {
   StageBuilder& WindowAggregate(
       std::string store, WindowSpec window, AggregateFn agg,
       DurationNs allowed_lateness = 100 * kMillisecond,
-      WindowEmitMode mode = WindowEmitMode::kOnClose,
-      DurationNs suppress_interval = 100 * kMillisecond);
+      WindowEmitMode mode = WindowEmitMode::kOnClose);
   StageBuilder& JoinStreams(std::string store, DurationNs window,
                             StreamStreamJoinOperator::JoinFn join,
                             DurationNs allowed_lateness = 100 * kMillisecond);

@@ -226,6 +226,9 @@ Status TaskRuntime::Recover() {
     output_tags_.push_back(std::move(tags));
   }
   reader_hooks_.on_barrier = nullptr;  // barriers handled via pending queue
+  commit_gated_ =
+      uses_markers_ && std::find(input_external_.begin(), input_external_.end(),
+                                 false) != input_external_.end();
 
   for (size_t i = 0; i < operators_.size(); ++i) {
     operators_[i]->Open(this);
@@ -824,9 +827,15 @@ Result<DurationNs> TaskRuntime::AdvanceCommit() {
 void TaskRuntime::EndCommit() {
   commit_stage_ = CommitStage::kIdle;
   next_commit_ = wiring_.clock->Now() + wiring_.config.commit_interval;
+  wave_generation_ = tracker_.generation();
 }
 
 Status TaskRuntime::BeginCommit() {
+  // Operators emit what they hold back for the commit (eager window panes)
+  // first, so it joins this epoch's flush and is covered by its cut.
+  for (size_t i = 0; i < operators_.size(); ++i) {
+    operators_[i]->OnCommit(collectors_[i].get());
+  }
   if (!uses_markers_) {
     // Aligned checkpoints are barrier-driven; unsafe never commits. The
     // flush keeps outputs flowing and is the whole commit.
@@ -1129,10 +1138,9 @@ sched::StepResult TaskRuntime::StepInit() {
   TimeNs now = wiring_.clock->Now();
   // Each task's first commit lands at its own hash-chosen point of the
   // interval. Tasks start together and keep equal cadences, so otherwise
-  // every stage commits at the same instant, and a record a producer
-  // commits then becomes readable just after its consumer's commit: it
-  // waits out the consumer's whole interval, instead of half of one on
-  // average, at every stage boundary.
+  // every source commits at the same instant. Consumers mostly commit in
+  // waves behind their producers (RunCadence); for them this is only the
+  // first fallback deadline.
   next_commit_ =
       now + (cfg.commit_interval > 0
                  ? static_cast<DurationNs>(
@@ -1178,7 +1186,7 @@ sched::StepResult TaskRuntime::StepRunning() {
     return FinishEpilogue();
   }
   PublishProgress();
-  wait = RunCadence();
+  wait = RunCadence(*polled);
   if (!wait.ok()) {
     run_status_ = wait.status();
     return FinishEpilogue();
@@ -1218,7 +1226,7 @@ sched::StepResult TaskRuntime::StepDraining() {
   // and withholding every flush/commit until FinishWithTail would stall
   // downstream consumers for that whole window. Intermediate commits are
   // ordinary commits — the final cut still covers whatever remains.
-  wait = RunCadence();
+  wait = RunCadence(*polled);
   if (!wait.ok()) {
     run_status_ = wait.status();
     return FinishWithTail();
@@ -1235,7 +1243,7 @@ sched::StepResult TaskRuntime::StepDraining() {
   return sched::StepResult::Idle(cfg.poll_interval);
 }
 
-Result<DurationNs> TaskRuntime::RunCadence() {
+Result<DurationNs> TaskRuntime::RunCadence(size_t polled) {
   const EngineConfig& cfg = wiring_.config;
   TimeNs now = wiring_.clock->Now();
   if (now >= next_timer_) {
@@ -1247,8 +1255,11 @@ Result<DurationNs> TaskRuntime::RunCadence() {
     next_flush_ = now + cfg.output_flush_interval;
   }
   IMPELLER_RETURN_IF_ERROR(MaybeFlush(force_flush));
+  if (commit_stage_ != CommitStage::kIdle) {
+    return AdvanceCommit();
+  }
   now = wiring_.clock->Now();
-  if (commit_stage_ == CommitStage::kIdle && now >= next_commit_) {
+  if (now >= next_commit_) {
     if (now - next_commit_ >= cfg.commit_interval) {
       // A full interval late: the task cannot keep its commit cadence —
       // the backpressure signal the autoscaler watches.
@@ -1256,6 +1267,17 @@ Result<DurationNs> TaskRuntime::RunCadence() {
       if (wiring_.metrics != nullptr) {
         wiring_.metrics->GetCounter("task/commit_overruns")->Add();
       }
+    }
+    commit_stage_ = CommitStage::kDue;
+  } else if (commit_gated_ &&
+             polled < readers_.size() * cfg.max_records_per_poll &&
+             tracker_.AllCommittedSince(wave_generation_)) {
+    // Commit wave: every producer has committed since our last commit and
+    // this poll took in all their commits released (it stopped short of
+    // its limit). Committing now makes that input readable downstream
+    // after one commit, instead of after a wait for our own timer.
+    if (wiring_.metrics != nullptr) {
+      wiring_.metrics->GetCounter("task/commits_on_wave")->Add();
     }
     commit_stage_ = CommitStage::kDue;
   }

@@ -1,8 +1,9 @@
 // TaskRuntime: one unit of execution (paper Table 1). A task runs a stage's
 // operator chain over its input substreams, writes outputs and change-log
-// records through a batched output buffer, and periodically commits its
-// progress with whichever exactly-once protocol the engine is configured
-// for:
+// records through a batched output buffer, and commits its progress — on
+// an interval timer, or, for a consumer of committed input, in a wave right
+// behind its producers' commits — with whichever exactly-once protocol the
+// engine is configured for:
 //   * progress marking (Impeller, §3.3) — one multi-tag conditional append;
 //   * Kafka Streams transactions (§3.6) — coordinator two-phase commit;
 //   * aligned checkpointing (§5.1) — barrier alignment + synchronous
@@ -246,7 +247,8 @@ class TaskRuntime final : public OperatorContext {
   Status CommitProgressMarking();
   // kFlushed, outputs durable: starts the transaction's phase one.
   Status CommitKafkaTxn();
-  // The commit is over (or skipped): the cadence restarts from now.
+  // The commit is over (or skipped): the cadence restarts from now, and the
+  // next wave waits for producer commits after this one.
   void EndCommit();
 
   // Aligned-checkpoint plumbing. Barriers are queued during a poll and
@@ -271,11 +273,13 @@ class TaskRuntime final : public OperatorContext {
   sched::StepResult StepInit();
   sched::StepResult StepRunning();
   sched::StepResult StepDraining();
-  // The output cadence both kRunning and kDraining keep after a poll: due
-  // timers, then a forced (interval elapsed) or conditional flush, then a
-  // due commit, counting it as an overrun when a full interval late.
-  // Returns AdvanceCommit()'s wait.
-  Result<DurationNs> RunCadence();
+  // The output cadence both kRunning and kDraining keep after a poll that
+  // took in `polled` entries: due timers, then a forced (interval elapsed)
+  // or conditional flush, then a due commit — on the interval timer
+  // (counted as an overrun when a full interval late) or, for a consumer
+  // of commit-gated input, on a commit wave. Returns AdvanceCommit()'s
+  // wait.
+  Result<DurationNs> RunCadence(size_t polled);
   // Final flush + commit (+ transaction wait) of a graceful stop, then the
   // epilogue. Entered from kDraining however the drain ended; re-entered
   // (as kTail) until the commit's waits are over.
@@ -289,6 +293,9 @@ class TaskRuntime final : public OperatorContext {
   std::string task_id_;
   bool uses_markers_ = false;     // progress marking or kafka txn
   bool capture_changes_ = false;  // changelog enabled
+  // Reads at least one input whose producers commit (not only ingress):
+  // such a task commits in waves behind its producers.
+  bool commit_gated_ = false;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> crashed_{false};
@@ -371,6 +378,9 @@ class TaskRuntime final : public OperatorContext {
   // latest ack time over every batch this instance admitted.
   CommitStage commit_stage_ = CommitStage::kIdle;
   TimeNs pending_ack_at_ = 0;
+  // tracker_.generation() at the last EndCommit: a wave is due once every
+  // producer has committed after it.
+  uint64_t wave_generation_ = 0;
   obs::StepSpan commit_span_;  // protocol/commit_marker or commit_txn
 
   // Kafka txn: at most one commit in flight — phase one while stepping it,

@@ -359,7 +359,6 @@ std::string LogicalPlan::ToJson(int indent) const {
       obj.Set("window_size_ns", Json::Int(node.window_size));
       obj.Set("window_slide_ns", Json::Int(node.window_slide));
       obj.Set("emit_mode", Json::Str(std::string(EmitModeName(node.emit_mode))));
-      obj.Set("suppress_interval_ns", Json::Int(node.suppress_interval));
     }
     if (node.kind == OpKind::kJoinStreams) {
       obj.Set("join_window_ns", Json::Int(node.join_window));
@@ -428,8 +427,8 @@ Result<LogicalPlan> LogicalPlan::FromJson(std::string_view json_text) {
       return InvalidArgumentError("node '" + node.id +
                                   "': unknown emit_mode '" + mode + "'");
     }
-    node.suppress_interval =
-        obj.GetInt("suppress_interval_ns", 100 * kMillisecond);
+    // Older saved plans may carry "suppress_interval_ns"; eager panes now
+    // emit at commit, so it is ignored like any unknown field.
     node.join_window = obj.GetInt("join_window_ns", 0);
     node.allowed_lateness =
         obj.GetInt("allowed_lateness_ns", 100 * kMillisecond);
@@ -578,8 +577,7 @@ PlanBuilder::NodeRef PlanBuilder::TableAggregate(NodeRef input,
 
 PlanBuilder::NodeRef PlanBuilder::WindowAggregate(
     NodeRef input, std::string store, WindowSpec window, std::string agg,
-    DurationNs allowed_lateness, WindowEmitMode mode,
-    DurationNs suppress_interval) {
+    DurationNs allowed_lateness, WindowEmitMode mode) {
   NodeRef ref = Add(OpKind::kWindowAggregate, {input.id()});
   PlanNode& node = plan_.nodes[ref.index_];
   node.store = std::move(store);
@@ -588,7 +586,6 @@ PlanBuilder::NodeRef PlanBuilder::WindowAggregate(
   node.window_slide = window.IsTumbling() ? 0 : window.slide;
   node.allowed_lateness = allowed_lateness;
   node.emit_mode = mode;
-  node.suppress_interval = suppress_interval;
   return ref;
 }
 

@@ -83,7 +83,6 @@ struct PlanNode {
   DurationNs window_size = 0;
   DurationNs window_slide = 0;  // 0 = tumbling (slide == size)
   WindowEmitMode emit_mode = WindowEmitMode::kOnClose;
-  DurationNs suppress_interval = 100 * kMillisecond;
 
   // kJoinStreams window.
   DurationNs join_window = 0;
@@ -160,8 +159,7 @@ class PlanBuilder {
   NodeRef WindowAggregate(NodeRef input, std::string store, WindowSpec window,
                           std::string agg,
                           DurationNs allowed_lateness = 100 * kMillisecond,
-                          WindowEmitMode mode = WindowEmitMode::kOnClose,
-                          DurationNs suppress_interval = 100 * kMillisecond);
+                          WindowEmitMode mode = WindowEmitMode::kOnClose);
   NodeRef JoinStreams(NodeRef left, NodeRef right, std::string store,
                       DurationNs window, std::string expr,
                       DurationNs allowed_lateness = 100 * kMillisecond);

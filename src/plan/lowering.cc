@@ -221,8 +221,7 @@ Result<LoweredPlan> LowerPlan(const OptimizedPlan& optimized,
                   ? WindowSpec::Sliding(node->window_size, node->window_slide)
                   : WindowSpec::Tumbling(node->window_size);
           sb.WindowAggregate(node->store, window, *agg,
-                             node->allowed_lateness, node->emit_mode,
-                             node->suppress_interval);
+                             node->allowed_lateness, node->emit_mode);
           break;
         }
         case OpKind::kJoinStreams: {

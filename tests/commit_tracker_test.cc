@@ -68,6 +68,26 @@ TEST(CommitTrackerTest, ProducersAreIndependent) {
   EXPECT_EQ(tracker.Classify(Hdr("b", 1), 5), CommitState::kUnknown);
 }
 
+TEST(CommitTrackerTest, AllCommittedSinceWaitsForEveryKnownProducer) {
+  CommitTracker tracker(true);
+  EXPECT_FALSE(tracker.AllCommittedSince(tracker.generation()))
+      << "no producer known yet: no wave";
+  tracker.OnCommitEvent("a", 1, 10);
+  tracker.OnCommitEvent("b", 1, 11);
+  uint64_t gen = tracker.generation();
+  EXPECT_FALSE(tracker.AllCommittedSince(gen));
+  tracker.OnCommitEvent("a", 1, 20);
+  EXPECT_FALSE(tracker.AllCommittedSince(gen)) << "b has not committed again";
+  tracker.OnCommitEvent("a", 1, 30);
+  EXPECT_FALSE(tracker.AllCommittedSince(gen));
+  tracker.OnCommitEvent("b", 1, 31);
+  EXPECT_TRUE(tracker.AllCommittedSince(gen));
+  EXPECT_FALSE(tracker.AllCommittedSince(tracker.generation()));
+  tracker.OnCommitEvent("b", 0, 40);  // stale instance: not a commit of b
+  tracker.OnCommitEvent("a", 1, 41);
+  EXPECT_FALSE(tracker.AllCommittedSince(tracker.generation() - 1));
+}
+
 TEST(CommitTrackerTest, IngressRecordsAlwaysCommitted) {
   CommitTracker tracker(true);
   EXPECT_EQ(tracker.Classify(Hdr("gen/bids", kIngressInstance), 5),

@@ -1,8 +1,10 @@
 // Engine/TaskManager API-contract tests: misuse is rejected with clear
-// errors instead of undefined behaviour, and no scheduler worker is ever
-// parked on a modeled log ack.
+// errors instead of undefined behaviour, no scheduler worker is ever
+// parked on a modeled log ack, and consumers commit in waves behind their
+// producers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
@@ -161,6 +163,180 @@ TEST(EngineApiTest, CrashAfterMarkerAdmitWaitsOutItsAck) {
   ASSERT_TRUE(next_cut.ok() && next_cut->has_value());
   EXPECT_EQ((*next_cut)->marker_seq, 2u);
   engine.Stop();
+}
+
+// Three-stage keyed chain a -> b -> c (sink), two tasks each: both of its
+// stage crossings are commit-gated.
+Result<QueryPlan> KeyedChainPlan() {
+  auto same = [](StreamRecord r) { return r; };
+  QueryBuilder qb("chain");
+  qb.Ingress("in");
+  qb.AddStage("a", 2).ReadsFrom({"in"}).Map(same).WritesTo("ab");
+  qb.AddStage("b", 2).ReadsFrom({"ab"}).Map(same).WritesTo("bc");
+  qb.AddStage("c", 2).ReadsFrom({"bc"}).Map(same).Sink("chain");
+  return qb.Build();
+}
+
+EngineOptions ChainOptions(ProtocolKind protocol) {
+  EngineOptions options;
+  options.config = FastConfig(protocol);
+  options.config.commit_interval = 100 * kMillisecond;
+  options.config.output_flush_interval = 10 * kMillisecond;
+  options.config.sched_workers = 2;
+  options.config.log_shards = 2;
+  options.log_latency = std::make_shared<CalibratedLatencyModel>(
+      CalibratedLatencyModel::BokiParams(), 11);
+  return options;
+}
+
+// Feeds the chain's ingress and reads its committed egress.
+class ChainDriver {
+ public:
+  explicit ChainDriver(Engine& engine) : clock_(engine.clock()) {
+    auto producer = engine.NewProducer("gen", "in");
+    EXPECT_TRUE(producer.ok());
+    producer_ = std::move(*producer);
+    for (uint32_t sub = 0; sub < 2; ++sub) {
+      auto consumer = engine.NewEgressConsumer("c", sub);
+      EXPECT_TRUE(consumer.ok());
+      consumers_.push_back(std::move(*consumer));
+    }
+  }
+
+  // Sends `keys` round robin for `duration`, a small batch every 5 ms with
+  // event time = send time, then reads until every record sent is out.
+  // Returns each record's committed-output latency.
+  std::vector<DurationNs> Run(const std::vector<std::string>& keys,
+                              DurationNs duration) {
+    std::vector<DurationNs> latencies;
+    uint64_t sent = 0;
+    TimeNs end = clock_->Now() + duration;
+    while (clock_->Now() < end) {
+      for (int i = 0; i < 4; ++i) {
+        producer_->Send(keys[sent++ % keys.size()], "v");
+      }
+      EXPECT_TRUE(producer_->Flush().ok());
+      Poll(&latencies);
+      clock_->SleepFor(5 * kMillisecond);
+    }
+    EXPECT_TRUE(WaitFor([&] {
+      Poll(&latencies);
+      return latencies.size() >= sent;
+    })) << latencies.size() << " of " << sent << " records committed";
+    EXPECT_EQ(latencies.size(), sent) << "exactly once";
+    return latencies;
+  }
+
+ private:
+  void Poll(std::vector<DurationNs>* latencies) {
+    for (auto& consumer : consumers_) {
+      auto records = consumer->PollAll();
+      ASSERT_TRUE(records.ok()) << records.status().ToString();
+      TimeNs now = clock_->Now();
+      for (const ReadyRecord& r : *records) {
+        latencies->push_back(now - r.data.event_time);
+      }
+    }
+  }
+
+  Clock* clock_;
+  std::unique_ptr<IngressProducer> producer_;
+  std::vector<std::unique_ptr<EgressConsumer>> consumers_;
+};
+
+DurationNs Median(std::vector<DurationNs> v) {
+  if (v.empty()) {
+    return 0;
+  }
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+std::vector<std::string> Keys(int n) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < n; ++i) {
+    keys.push_back("k" + std::to_string(i));
+  }
+  return keys;
+}
+
+// A consumer commits as soon as all its producers have (a commit wave), so
+// a record waits for one interval-timed commit — its source's — and one
+// short hop per later stage, not for every stage's own timer.
+TEST(EngineApiTest, DownstreamStagesCommitInWaves) {
+  for (ProtocolKind protocol :
+       {ProtocolKind::kProgressMarking, ProtocolKind::kKafkaTxn}) {
+    SCOPED_TRACE(ProtocolKindName(protocol));
+    EngineOptions options = ChainOptions(protocol);
+    const DurationNs interval = options.config.commit_interval;
+    Engine engine(std::move(options));
+    auto plan = KeyedChainPlan();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_TRUE(engine.Submit(std::move(*plan)).ok());
+    std::vector<DurationNs> latencies =
+        ChainDriver(engine).Run(Keys(64), kSecond);
+    uint64_t downstream_commits = 0;
+    for (const char* stage : {"b", "c"}) {
+      for (int i = 0; i < 2; ++i) {
+        downstream_commits += engine.tasks()
+                                  ->FindTask(std::string("chain/") + stage +
+                                             "/" + std::to_string(i))
+                                  ->markers_written();
+      }
+    }
+    uint64_t on_wave =
+        engine.metrics()->GetCounter("task/commits_on_wave")->Get();
+    engine.Stop();
+    EXPECT_GT(downstream_commits, 0u);
+    EXPECT_GT(on_wave * 2, downstream_commits)
+        << on_wave << " of " << downstream_commits
+        << " downstream commits were wave-triggered";
+    DurationNs p50 = Median(latencies);
+    EXPECT_LT(p50, interval * 3 / 2)
+        << "committed-output p50 " << p50 / kMillisecond << " ms";
+  }
+}
+
+// A producer that stops committing (no more input) holds back every wave
+// of its consumers; their interval timer still commits them, so a record
+// waits at most about one interval per stage.
+TEST(EngineApiTest, IdleProducerFallsBackToTheCommitTimer) {
+  EngineOptions options = ChainOptions(ProtocolKind::kProgressMarking);
+  const DurationNs interval = options.config.commit_interval;
+  Engine engine(std::move(options));
+  auto plan = KeyedChainPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_TRUE(engine.Submit(std::move(*plan)).ok());
+  // Warm-up over both ingress substreams: b's tasks learn both a tasks.
+  ChainDriver driver(engine);
+  driver.Run(Keys(64), 300 * kMillisecond);
+  TaskRuntime* a1 = engine.tasks()->FindTask("chain/a/1");
+  TaskRuntime* b0 = engine.tasks()->FindTask("chain/b/0");
+  ASSERT_GT(a1->markers_written(), 0u);
+
+  // Then input only for a/0 (keys on substream 0 stay on substream 0 at
+  // every stage): a/1 has nothing left to commit, so no wave reaches b
+  // again.
+  std::vector<std::string> a0_keys;
+  for (const std::string& key : Keys(256)) {
+    if (HashPartition(key, 2) == 0) {
+      a0_keys.push_back(key);
+    }
+  }
+  const uint64_t a1_markers = a1->markers_written();
+  const uint64_t b0_markers = b0->markers_written();
+  std::vector<DurationNs> latencies = driver.Run(a0_keys, kSecond);
+  EXPECT_EQ(a1->markers_written(), a1_markers) << "a/1 must stay idle";
+  const uint64_t b0_commits = b0->markers_written() - b0_markers;
+  engine.Stop();
+  EXPECT_GE(b0_commits, 5u) << "b/0 kept committing on its timer";
+  ASSERT_FALSE(latencies.empty());
+  DurationNs worst = *std::max_element(latencies.begin(), latencies.end());
+  // a's commit and b's timer each take at most an interval; c still commits
+  // in waves, as both b tasks commit (b/1 for the input ends a/0's markers
+  // move).
+  EXPECT_LT(worst, 3 * interval)
+      << "a record waited " << worst / kMillisecond << " ms";
 }
 
 TEST(EngineApiTest, ProducersRequireSubmittedPlan) {

@@ -116,7 +116,7 @@ TEST(PlanIrTest, WindowAndJoinAttributesRoundTrip) {
                           7 * kMillisecond);
   auto w = pb.WindowAggregate(
       j, "ws", WindowSpec::Sliding(10 * kSecond, 2 * kSecond), "count",
-      3 * kMillisecond, WindowEmitMode::kEagerSuppressed, 50 * kMillisecond);
+      3 * kMillisecond, WindowEmitMode::kEagerSuppressed);
   pb.Sink(w, "w");
   auto built = pb.Build();
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -132,8 +132,32 @@ TEST(PlanIrTest, WindowAndJoinAttributesRoundTrip) {
   EXPECT_EQ(wagg->window_size, 10 * kSecond);
   EXPECT_EQ(wagg->window_slide, 2 * kSecond);
   EXPECT_EQ(wagg->emit_mode, WindowEmitMode::kEagerSuppressed);
-  EXPECT_EQ(wagg->suppress_interval, 50 * kMillisecond);
   EXPECT_EQ(wagg->allowed_lateness, 3 * kMillisecond);
+}
+
+TEST(PlanIrTest, SavedPlanWithSuppressIntervalStillLoads) {
+  PlanBuilder pb("w", 1);
+  auto w = pb.WindowAggregate(pb.Source("s"), "ws",
+                              WindowSpec::Tumbling(10 * kSecond), "count",
+                              3 * kMillisecond,
+                              WindowEmitMode::kEagerSuppressed);
+  pb.Sink(w, "w");
+  auto built = pb.Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  std::string json = built->ToJson();
+  EXPECT_EQ(json.find("suppress_interval_ns"), std::string::npos);
+  // A plan saved when eager panes flushed on their own timer.
+  const std::string field = "\"emit_mode\": \"eager_suppressed\"";
+  size_t at = json.find(field);
+  ASSERT_NE(at, std::string::npos) << json;
+  json.insert(at + field.size(), ", \"suppress_interval_ns\": 50000000");
+  auto restored = LogicalPlan::FromJson(json);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const PlanNode* wagg = restored->FindNode("wagg2");
+  ASSERT_NE(wagg, nullptr);
+  EXPECT_EQ(wagg->emit_mode, WindowEmitMode::kEagerSuppressed);
+  EXPECT_EQ(wagg->window_size, 10 * kSecond);
+  EXPECT_EQ(restored->ToJson(), built->ToJson());
 }
 
 TEST(PlanIrTest, TopoOrderIsDeterministicAndRespectsEdges) {

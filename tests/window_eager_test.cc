@@ -59,12 +59,15 @@ uint64_t CountOf(const StreamRecord& r) {
   return std::stoull(*reader.ReadString());
 }
 
-TEST(WindowEagerTest, UpdatedPanesEmitOnSuppressionCadence) {
+WindowAggregateOperator EagerCount(WindowSpec window) {
+  return WindowAggregateOperator("w", window, CountAgg(),
+                                 /*allowed_lateness=*/0,
+                                 WindowEmitMode::kEagerSuppressed);
+}
+
+TEST(WindowEagerTest, UpdatedPanesEmitAtCommit) {
   FakeContext ctx;
-  WindowAggregateOperator op("w", WindowSpec::Tumbling(10 * kSecond),
-                             CountAgg(), /*allowed_lateness=*/0,
-                             WindowEmitMode::kEagerSuppressed,
-                             /*suppress_interval=*/100 * kMillisecond);
+  WindowAggregateOperator op = EagerCount(WindowSpec::Tumbling(10 * kSecond));
   op.Open(&ctx);
   CapturingCollector out;
 
@@ -72,49 +75,55 @@ TEST(WindowEagerTest, UpdatedPanesEmitOnSuppressionCadence) {
   op.Process(0, Rec("k", 1 * kSecond), &out);
   op.Process(0, Rec("k", 2 * kSecond), &out);
   EXPECT_TRUE(out.emitted.empty()) << "updates are suppressed until a flush";
-
   op.OnTimer(/*now=*/kSecond, &out);
+  EXPECT_TRUE(out.emitted.empty()) << "timers do not flush updates";
+
+  op.OnCommit(&out);
   ASSERT_EQ(out.emitted.size(), 1u) << "one update per dirty pane per flush";
   EXPECT_EQ(CountOf(out.emitted[0]), 2u);
   EXPECT_EQ(out.emitted[0].event_time, 2 * kSecond)
       << "event time tracks the freshest contribution";
 
-  // No updates since the flush: the next timer emits nothing.
-  op.OnTimer(2 * kSecond, &out);
+  // No updates since the flush: the next commit emits nothing.
+  op.OnCommit(&out);
   EXPECT_EQ(out.emitted.size(), 1u);
 
-  // A further update re-emits the refreshed count on the next cadence.
+  // A further update re-emits the refreshed count at the next commit.
   op.Process(0, Rec("k", 3 * kSecond), &out);
-  op.OnTimer(3 * kSecond, &out);
+  op.OnCommit(&out);
   ASSERT_EQ(out.emitted.size(), 2u);
   EXPECT_EQ(CountOf(out.emitted[1]), 3u);
 }
 
-TEST(WindowEagerTest, SuppressionIntervalBatchesUpdates) {
+TEST(WindowEagerTest, CommitBatchesUpdatesAcrossPanes) {
   FakeContext ctx;
-  WindowAggregateOperator op("w", WindowSpec::Tumbling(10 * kSecond),
-                             CountAgg(), 0,
-                             WindowEmitMode::kEagerSuppressed,
-                             /*suppress_interval=*/kSecond);
+  WindowAggregateOperator op = EagerCount(WindowSpec::Tumbling(10 * kSecond));
   op.Open(&ctx);
   CapturingCollector out;
   ctx.set_max_event_time(1 * kSecond);
-  op.Process(0, Rec("k", kSecond), &out);
-  op.OnTimer(10 * kSecond, &out);  // first flush (now >= 0)
-  ASSERT_EQ(out.emitted.size(), 1u);
-  op.Process(0, Rec("k", kSecond + 1), &out);
-  op.OnTimer(10 * kSecond + 200 * kMillisecond, &out);  // within interval
-  EXPECT_EQ(out.emitted.size(), 1u) << "still suppressed";
-  op.OnTimer(11 * kSecond + kMillisecond, &out);  // past the interval
-  EXPECT_EQ(out.emitted.size(), 2u);
+  op.Process(0, Rec("a", kSecond), &out);
+  op.Process(0, Rec("b", kSecond), &out);
+  op.Process(0, Rec("a", kSecond + 1), &out);
+  op.OnTimer(10 * kSecond, &out);
+  EXPECT_TRUE(out.emitted.empty()) << "still suppressed between commits";
+  op.OnCommit(&out);
+  ASSERT_EQ(out.emitted.size(), 2u) << "each dirty pane emits once";
+  std::map<std::string, uint64_t> counts;
+  for (const StreamRecord& r : out.emitted) {
+    counts[r.key] = CountOf(r);
+  }
+  EXPECT_EQ(counts, (std::map<std::string, uint64_t>{{"a", 2}, {"b", 1}}));
+  // Only the pane updated since then emits at the following commit.
+  op.Process(0, Rec("b", kSecond + 2), &out);
+  op.OnCommit(&out);
+  ASSERT_EQ(out.emitted.size(), 3u);
+  EXPECT_EQ(out.emitted[2].key, "b");
+  EXPECT_EQ(CountOf(out.emitted[2]), 2u);
 }
 
 TEST(WindowEagerTest, CloseEmitsFinalValueOnlyIfDirty) {
   FakeContext ctx;
-  WindowAggregateOperator op("w", WindowSpec::Tumbling(10 * kSecond),
-                             CountAgg(), 0,
-                             WindowEmitMode::kEagerSuppressed,
-                             /*suppress_interval=*/10 * kSecond);
+  WindowAggregateOperator op = EagerCount(WindowSpec::Tumbling(10 * kSecond));
   op.Open(&ctx);
   CapturingCollector out;
   ctx.set_max_event_time(5 * kSecond);
@@ -126,21 +135,19 @@ TEST(WindowEagerTest, CloseEmitsFinalValueOnlyIfDirty) {
   ASSERT_EQ(out.emitted.size(), 1u);
   EXPECT_EQ(CountOf(out.emitted[0]), 1u);
   op.OnTimer(0, &out);
+  op.OnCommit(&out);
   EXPECT_EQ(out.emitted.size(), 1u) << "pane deleted after close";
   EXPECT_EQ(ctx.GetStore("w")->size(), 0u);
 }
 
 TEST(WindowEagerTest, CloseIsSilentWhenAlreadyFlushed) {
   FakeContext ctx;
-  WindowAggregateOperator op("w", WindowSpec::Tumbling(10 * kSecond),
-                             CountAgg(), 0,
-                             WindowEmitMode::kEagerSuppressed,
-                             /*suppress_interval=*/kMillisecond);
+  WindowAggregateOperator op = EagerCount(WindowSpec::Tumbling(10 * kSecond));
   op.Open(&ctx);
   CapturingCollector out;
   ctx.set_max_event_time(5 * kSecond);
   op.Process(0, Rec("k", 5 * kSecond), &out);
-  op.OnTimer(5 * kSecond, &out);  // flush emits the update
+  op.OnCommit(&out);  // the commit emits the update
   ASSERT_EQ(out.emitted.size(), 1u);
   ctx.set_max_event_time(11 * kSecond);
   op.OnTimer(6 * kSecond, &out);  // close: nothing new to say
@@ -150,16 +157,30 @@ TEST(WindowEagerTest, CloseIsSilentWhenAlreadyFlushed) {
 
 TEST(WindowEagerTest, SlidingPanesEmitIndependently) {
   FakeContext ctx;
-  WindowAggregateOperator op("w", WindowSpec::Sliding(4 * kSecond, kSecond),
-                             CountAgg(), 0,
-                             WindowEmitMode::kEagerSuppressed,
-                             /*suppress_interval=*/kMillisecond);
+  WindowAggregateOperator op =
+      EagerCount(WindowSpec::Sliding(4 * kSecond, kSecond));
   op.Open(&ctx);
   CapturingCollector out;
   ctx.set_max_event_time(10 * kSecond);
   op.Process(0, Rec("k", 10 * kSecond), &out);
-  op.OnTimer(kSecond, &out);
+  op.OnCommit(&out);
   EXPECT_EQ(out.emitted.size(), 4u) << "one update per assigned pane";
+}
+
+TEST(WindowEagerTest, OnCloseModeIgnoresCommits) {
+  FakeContext ctx;
+  WindowAggregateOperator op("w", WindowSpec::Tumbling(10 * kSecond),
+                             CountAgg(), 0, WindowEmitMode::kOnClose);
+  op.Open(&ctx);
+  CapturingCollector out;
+  ctx.set_max_event_time(5 * kSecond);
+  op.Process(0, Rec("k", 5 * kSecond), &out);
+  op.OnCommit(&out);
+  EXPECT_TRUE(out.emitted.empty()) << "on-close panes fire only at close";
+  ctx.set_max_event_time(11 * kSecond);
+  op.OnTimer(0, &out);
+  ASSERT_EQ(out.emitted.size(), 1u);
+  EXPECT_EQ(CountOf(out.emitted[0]), 1u);
 }
 
 }  // namespace
