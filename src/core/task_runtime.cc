@@ -828,6 +828,7 @@ void TaskRuntime::EndCommit() {
   commit_stage_ = CommitStage::kIdle;
   next_commit_ = wiring_.clock->Now() + wiring_.config.commit_interval;
   wave_generation_ = tracker_.generation();
+  in_burst_ = false;
 }
 
 Status TaskRuntime::BeginCommit() {
@@ -1004,6 +1005,11 @@ void TaskRuntime::OnBarrier(size_t slot, const std::string& producer,
 Status TaskRuntime::CompleteAlignment() {
   TRACE_SPAN("protocol", "align_checkpoint");
   uint64_t id = align_ckpt_id_;
+  // As at a commit (BeginCommit): what operators hold back joins the flush
+  // before the snapshot, or a task restored from it would owe that output.
+  for (size_t i = 0; i < operators_.size(); ++i) {
+    operators_[i]->OnCommit(collectors_[i].get());
+  }
   IMPELLER_RETURN_IF_ERROR(MaybeFlush(true));
   // The snapshot and the forwarded barriers must follow durable outputs.
   // This is the one ack a task step still blocks on.
@@ -1138,15 +1144,17 @@ sched::StepResult TaskRuntime::StepInit() {
   TimeNs now = wiring_.clock->Now();
   // Each task's first commit lands at its own hash-chosen point of the
   // interval. Tasks start together and keep equal cadences, so otherwise
-  // every source commits at the same instant. Consumers mostly commit in
-  // waves behind their producers (RunCadence); for them this is only the
-  // first fallback deadline.
+  // every continuously fed source commits at the same instant. Consumers
+  // mostly commit in waves behind their producers, and sources fed in
+  // bursts right after each burst (RunCadence); for them this is only the
+  // first fallback deadline. Silence before a first burst counts from now.
   next_commit_ =
       now + (cfg.commit_interval > 0
                  ? static_cast<DurationNs>(
                        Fnv1a(task_id_) %
                        static_cast<uint64_t>(cfg.commit_interval))
                  : 0);
+  last_input_at_ = now;
   next_timer_ = now + cfg.timer_interval;
   next_flush_ = now + cfg.output_flush_interval;
   run_status_ = OkStatus();
@@ -1246,6 +1254,12 @@ sched::StepResult TaskRuntime::StepDraining() {
 Result<DurationNs> TaskRuntime::RunCadence(size_t polled) {
   const EngineConfig& cfg = wiring_.config;
   TimeNs now = wiring_.clock->Now();
+  if (polled > 0 && uses_markers_ && !commit_gated_) {
+    if (now - last_input_at_ >= cfg.commit_interval / 2) {
+      in_burst_ = true;
+    }
+    last_input_at_ = now;
+  }
   if (now >= next_timer_) {
     RunTimers(now);
     next_timer_ = now + cfg.timer_interval;
@@ -1258,6 +1272,8 @@ Result<DurationNs> TaskRuntime::RunCadence(size_t polled) {
   if (commit_stage_ != CommitStage::kIdle) {
     return AdvanceCommit();
   }
+  // The poll stopped short of its limit: it took in all input there was.
+  const bool drained = polled < readers_.size() * cfg.max_records_per_poll;
   now = wiring_.clock->Now();
   if (now >= next_commit_) {
     if (now - next_commit_ >= cfg.commit_interval) {
@@ -1269,15 +1285,21 @@ Result<DurationNs> TaskRuntime::RunCadence(size_t polled) {
       }
     }
     commit_stage_ = CommitStage::kDue;
-  } else if (commit_gated_ &&
-             polled < readers_.size() * cfg.max_records_per_poll &&
+  } else if (drained && commit_gated_ &&
              tracker_.AllCommittedSince(wave_generation_)) {
     // Commit wave: every producer has committed since our last commit and
-    // this poll took in all their commits released (it stopped short of
-    // its limit). Committing now makes that input readable downstream
-    // after one commit, instead of after a wait for our own timer.
+    // this poll took in all their commits released. Committing now makes
+    // that input readable downstream after one commit, instead of after a
+    // wait for our own timer.
     if (wiring_.metrics != nullptr) {
       wiring_.metrics->GetCounter("task/commits_on_wave")->Add();
+    }
+    commit_stage_ = CommitStage::kDue;
+  } else if (drained && in_burst_) {
+    // A source has taken in an input burst that followed a silence: commit
+    // it now rather than at a timer whose phase ignores the input's.
+    if (wiring_.metrics != nullptr) {
+      wiring_.metrics->GetCounter("task/commits_on_burst")->Add();
     }
     commit_stage_ = CommitStage::kDue;
   }

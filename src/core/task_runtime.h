@@ -276,9 +276,9 @@ class TaskRuntime final : public OperatorContext {
   // The output cadence both kRunning and kDraining keep after a poll that
   // took in `polled` entries: due timers, then a forced (interval elapsed)
   // or conditional flush, then a due commit — on the interval timer
-  // (counted as an overrun when a full interval late) or, for a consumer
-  // of commit-gated input, on a commit wave. Returns AdvanceCommit()'s
-  // wait.
+  // (counted as an overrun when a full interval late), for a consumer of
+  // commit-gated input on a commit wave, or for a source behind an input
+  // burst. Returns AdvanceCommit()'s wait.
   Result<DurationNs> RunCadence(size_t polled);
   // Final flush + commit (+ transaction wait) of a graceful stop, then the
   // epilogue. Entered from kDraining however the drain ended; re-entered
@@ -381,6 +381,12 @@ class TaskRuntime final : public OperatorContext {
   // tracker_.generation() at the last EndCommit: a wave is due once every
   // producer has committed after it.
   uint64_t wave_generation_ = 0;
+  // Sources (marker protocols, ingress input only) also commit behind their
+  // input bursts: last_input_at_ is the last poll that took input (the
+  // task's start before any), and in_burst_ is set when input arrives after
+  // at least half a commit interval without any. EndCommit clears it.
+  TimeNs last_input_at_ = 0;
+  bool in_burst_ = false;
   obs::StepSpan commit_span_;  // protocol/commit_marker or commit_txn
 
   // Kafka txn: at most one commit in flight — phase one while stepping it,

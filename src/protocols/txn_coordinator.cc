@@ -96,18 +96,6 @@ TxnCoordinator::BeginTransaction(TxnRequest request) {
   return std::unique_ptr<PhaseOne>(new PhaseOne(this, std::move(txn)));
 }
 
-Result<std::shared_future<Status>> TxnCoordinator::CommitTransaction(
-    TxnRequest request) {
-  auto phase_one = BeginTransaction(std::move(request));
-  if (!phase_one.ok()) {
-    return phase_one.status();
-  }
-  while (DurationNs wait = (*phase_one)->Poll()) {
-    clock_->SleepFor(wait);
-  }
-  return (*phase_one)->result();
-}
-
 TxnCoordinator::PhaseOne::PhaseOne(TxnCoordinator* coordinator,
                                    std::unique_ptr<PendingTxn> txn)
     : coordinator_(coordinator),

@@ -112,10 +112,6 @@ class TxnCoordinator {
   // was superseded.
   Result<std::unique_ptr<PhaseOne>> BeginTransaction(TxnRequest request);
 
-  // BeginTransaction driven to completion by sleeping through its waits;
-  // returns the future resolved when phase two commits the transaction.
-  Result<std::shared_future<Status>> CommitTransaction(TxnRequest request);
-
   const std::string& txn_stream_tag() const { return txn_stream_tag_; }
   uint64_t committed_txns() const { return committed_.load(); }
 

@@ -1,7 +1,7 @@
 // Engine/TaskManager API-contract tests: misuse is rejected with clear
 // errors instead of undefined behaviour, no scheduler worker is ever
-// parked on a modeled log ack, and consumers commit in waves behind their
-// producers.
+// parked on a modeled log ack, consumers commit in waves behind their
+// producers, and sources commit behind their input bursts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -203,21 +203,28 @@ class ChainDriver {
     }
   }
 
-  // Sends `keys` round robin for `duration`, a small batch every 5 ms with
-  // event time = send time, then reads until every record sent is out.
+  // Sends `keys` round robin for `duration`, a small batch every `period`
+  // with event time = send time, then reads until every record sent is out.
   // Returns each record's committed-output latency.
   std::vector<DurationNs> Run(const std::vector<std::string>& keys,
-                              DurationNs duration) {
+                              DurationNs duration,
+                              DurationNs period = 5 * kMillisecond) {
     std::vector<DurationNs> latencies;
     uint64_t sent = 0;
-    TimeNs end = clock_->Now() + duration;
+    TimeNs next_send = clock_->Now();
+    TimeNs end = next_send + duration;
     while (clock_->Now() < end) {
-      for (int i = 0; i < 4; ++i) {
-        producer_->Send(keys[sent++ % keys.size()], "v");
+      if (clock_->Now() >= next_send) {
+        for (int i = 0; i < 4; ++i) {
+          producer_->Send(keys[sent++ % keys.size()], "v");
+        }
+        EXPECT_TRUE(producer_->Flush().ok());
+        next_send += period;
       }
-      EXPECT_TRUE(producer_->Flush().ok());
+      // Egress is read every millisecond whatever the send period, so a
+      // latency is never rounded up to the next send.
       Poll(&latencies);
-      clock_->SleepFor(5 * kMillisecond);
+      clock_->SleepFor(kMillisecond);
     }
     EXPECT_TRUE(WaitFor([&] {
       Poll(&latencies);
@@ -337,6 +344,69 @@ TEST(EngineApiTest, IdleProducerFallsBackToTheCommitTimer) {
   // move).
   EXPECT_LT(worst, 3 * interval)
       << "a record waited " << worst / kMillisecond << " ms";
+}
+
+uint64_t SourceMarkers(Engine& engine) {
+  return engine.tasks()->FindTask("chain/a/0")->markers_written() +
+         engine.tasks()->FindTask("chain/a/1")->markers_written();
+}
+
+// A source fed in bursts (one ingress flush per commit interval, as
+// perfbench's Q5 and Q8 ingress) commits right behind each burst instead of
+// at its timer's phase, so a record does not wait about half an interval
+// for its source's commit.
+TEST(EngineApiTest, SourcesCommitBehindTheirInputBursts) {
+  for (ProtocolKind protocol :
+       {ProtocolKind::kProgressMarking, ProtocolKind::kKafkaTxn}) {
+    SCOPED_TRACE(ProtocolKindName(protocol));
+    EngineOptions options = ChainOptions(protocol);
+    const DurationNs interval = options.config.commit_interval;
+    Engine engine(std::move(options));
+    auto plan = KeyedChainPlan();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    ASSERT_TRUE(engine.Submit(std::move(*plan)).ok());
+    std::vector<DurationNs> latencies =
+        ChainDriver(engine).Run(Keys(64), 2 * kSecond, interval);
+    const uint64_t source_commits = SourceMarkers(engine);
+    const uint64_t on_burst =
+        engine.metrics()->GetCounter("task/commits_on_burst")->Get();
+    engine.Stop();
+    EXPECT_GT(source_commits, 0u);
+    EXPECT_GT(on_burst * 2, source_commits)
+        << on_burst << " of " << source_commits
+        << " source commits were burst-triggered";
+    DurationNs p50 = Median(latencies);
+    EXPECT_LT(p50, interval * 6 / 10)
+        << "committed-output p50 " << p50 / kMillisecond << " ms";
+  }
+}
+
+// Input every 5 ms never leaves half an interval of silence, so sources
+// keep their interval timer: no burst commits, and no more commits.
+TEST(EngineApiTest, ContinuousInputKeepsTheCommitCadence) {
+  for (ProtocolKind protocol :
+       {ProtocolKind::kProgressMarking, ProtocolKind::kKafkaTxn}) {
+    SCOPED_TRACE(ProtocolKindName(protocol));
+    EngineOptions options = ChainOptions(protocol);
+    const DurationNs interval = options.config.commit_interval;
+    Engine engine(std::move(options));
+    auto plan = KeyedChainPlan();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const TimeNs start = engine.clock()->Now();
+    ASSERT_TRUE(engine.Submit(std::move(*plan)).ok());
+    ChainDriver(engine).Run(Keys(64), kSecond);
+    const DurationNs elapsed = engine.clock()->Now() - start;
+    const uint64_t source_commits = SourceMarkers(engine);
+    const uint64_t on_burst =
+        engine.metrics()->GetCounter("task/commits_on_burst")->Get();
+    engine.Stop();
+    EXPECT_EQ(on_burst, 0u);
+    EXPECT_GT(source_commits, 0u);
+    // Two sources, each at most 1.2 commits per elapsed interval.
+    EXPECT_LE(source_commits * interval, 2 * elapsed * 12 / 10)
+        << source_commits << " source commits in " << elapsed / kMillisecond
+        << " ms";
+  }
 }
 
 TEST(EngineApiTest, ProducersRequireSubmittedPlan) {

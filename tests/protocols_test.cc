@@ -75,7 +75,14 @@ TEST(TxnCoordinatorTest, TwoPhaseCommitAppendsControlRecords) {
   request.output_tags = {"d/out/0", "d/out/1"};
   request.task_log_tag = TaskLogTag("q/s/0");
   request.input_ends = {{"d/in/0", 42}};
-  auto future = coordinator.CommitTransaction(std::move(request));
+  // Phase one driven here by sleeping through its waits; a task hands them
+  // to the scheduler instead.
+  auto phase_one = coordinator.BeginTransaction(std::move(request));
+  ASSERT_TRUE(phase_one.ok()) << phase_one.status().ToString();
+  while (DurationNs wait = (*phase_one)->Poll()) {
+    MonotonicClock::Get()->SleepFor(wait);
+  }
+  const auto& future = (*phase_one)->result();
   ASSERT_TRUE(future.ok()) << future.status().ToString();
   future->wait();
   EXPECT_TRUE(future->get().ok());
@@ -128,9 +135,9 @@ TEST(TxnCoordinatorTest, SupersededInstanceIsFenced) {
   request.task_id = "q/s/0";
   request.instance = 4;  // stale
   request.task_log_tag = TaskLogTag("q/s/0");
-  auto future = coordinator.CommitTransaction(std::move(request));
-  ASSERT_FALSE(future.ok());
-  EXPECT_EQ(future.status().code(), StatusCode::kFenced);
+  auto phase_one = coordinator.BeginTransaction(std::move(request));
+  ASSERT_FALSE(phase_one.ok());
+  EXPECT_EQ(phase_one.status().code(), StatusCode::kFenced);
   coordinator.Stop();
 }
 

@@ -1,7 +1,8 @@
 // Restarting an eager window task right after a commit must not lose a
 // pane's last update: the commit that covers the pane's state change also
 // carries the pane's emission (Operator::OnCommit), so the replacement,
-// which restores that state and has no more input, owes nothing.
+// which restores that state and has no more input, owes nothing. The same
+// holds for an aligned checkpoint's snapshot.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include "src/core/checkpoint.h"
 #include "src/core/record.h"
 #include "src/core/stream.h"
+#include "src/protocols/barrier_coordinator.h"
 #include "tests/test_util.h"
 
 namespace impeller {
@@ -131,6 +133,46 @@ TEST(WindowRestartTest, RestartAfterCommitKeepsPanesLastUpdate) {
         << " for the pane, not its final value 3";
     engine.Stop();
   }
+}
+
+// Under aligned checkpointing the snapshot plays the commit's part: a pane
+// update dirty at the barrier is emitted before the snapshot, so a task
+// restored from it owes nothing.
+TEST(WindowRestartTest, RestartAfterCheckpointKeepsPanesLastUpdate) {
+  EngineOptions options;
+  options.config = FastConfig(ProtocolKind::kAlignedCheckpoint);
+  // One interval paces both the coordinator's rounds (the first about 1 s
+  // after submit) and the task's commit-time flushes, which also emit dirty
+  // panes (the first at 0.55 s: its id's hash). Input sent at 0.75 s is
+  // therefore dirty at the first barrier, and a restart right after that
+  // checkpoint comes before the task's next commit-time flush.
+  options.config.commit_interval = kSecond;
+  Engine engine(std::move(options));
+  auto plan = EagerWindowPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const TimeNs start = engine.clock()->Now();
+  ASSERT_TRUE(engine.Submit(std::move(*plan)).ok());
+  auto producer = engine.NewProducer("gen", "events");
+  ASSERT_TRUE(producer.ok());
+  PaneReader panes(engine);
+  BarrierCoordinator* coordinator = engine.tasks()->barrier_coordinator();
+  ASSERT_NE(coordinator, nullptr);
+
+  engine.clock()->SleepFor(start + 750 * kMillisecond - engine.clock()->Now());
+  for (TimeNs t : {kSecond, 2 * kSecond, 3 * kSecond}) {
+    (*producer)->Send("k", "1", t);
+  }
+  ASSERT_TRUE((*producer)->Flush().ok());
+  ASSERT_TRUE(
+      WaitFor([&] { return coordinator->LatestCompleted() >= 1; }, 5 * kSecond));
+  auto stats = engine.tasks()->RestartTask("ew/win/0");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_TRUE(stats->performed);
+
+  EXPECT_TRUE(WaitFor([&] { return panes.MaxCount() == 3; }, kSecond))
+      << "egress holds count " << panes.MaxCount()
+      << " for the pane, not its final value 3";
+  engine.Stop();
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 Compares a freshly produced BENCH_<name>.json against the baseline JSON
 committed in the repo and fails (exit 1) when:
 
-  * ns_per_op of any benchmark present in both files regresses by more
-    than --threshold (default 10%), or
+  * the gated field (--field, default ns_per_op; e.g. p50_ns for the
+    fig7 latency rows) of any benchmark present in both files regresses by
+    more than --threshold (default 10%), or
   * allocs_per_record of any benchmark regresses by more than
     --alloc-slack (default 0.5 allocations/record).
 
@@ -16,7 +17,8 @@ reported but never fail the check, so adding or retiring benchmarks does
 not require touching the gate.
 
 Usage:
-  tools/check_bench_regression.py BASELINE.json CURRENT.json [--threshold 0.10]
+  tools/check_bench_regression.py BASELINE.json CURRENT.json \
+      [--threshold 0.10] [--field ns_per_op]
 """
 
 import argparse
@@ -38,7 +40,9 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("current")
     ap.add_argument("--threshold", type=float, default=0.10,
-                    help="max allowed fractional ns_per_op increase")
+                    help="max allowed fractional increase of --field")
+    ap.add_argument("--field", default="ns_per_op",
+                    help="row field to gate (lower is better)")
     ap.add_argument("--alloc-slack", type=float, default=0.5,
                     help="max allowed allocs_per_record increase")
     args = ap.parse_args()
@@ -54,17 +58,17 @@ def main():
             print(f"  [skip] {name}: missing from current run")
             continue
         compared += 1
-        b_ns, c_ns = b.get("ns_per_op"), c.get("ns_per_op")
-        if b_ns and c_ns:
-            ratio = c_ns / b_ns
+        b_val, c_val = b.get(args.field), c.get(args.field)
+        if b_val and c_val:
+            ratio = c_val / b_val
             marker = "OK"
             if ratio > 1.0 + args.threshold:
                 marker = "FAIL"
                 failures.append(
-                    f"{name}: ns_per_op {b_ns:.1f} -> {c_ns:.1f} "
+                    f"{name}: {args.field} {b_val:.1f} -> {c_val:.1f} "
                     f"(+{(ratio - 1) * 100:.1f}% > {args.threshold * 100:.0f}%)")
-            print(f"  [{marker}] {name}: {b_ns:.1f} -> {c_ns:.1f} ns/op "
-                  f"({(ratio - 1) * 100:+.1f}%)")
+            print(f"  [{marker}] {name}: {args.field} {b_val:.1f} -> "
+                  f"{c_val:.1f} ({(ratio - 1) * 100:+.1f}%)")
         b_allocs = b.get("allocs_per_record")
         c_allocs = c.get("allocs_per_record")
         if b_allocs is not None and c_allocs is not None:
