@@ -151,7 +151,6 @@ ChaosRun RunOnce(ProtocolKind protocol, uint64_t seed,
   options.config.commit_interval = 20 * kMillisecond;
   options.config.snapshot_interval = 200 * kMillisecond;
   options.config.output_flush_interval = 5 * kMillisecond;
-  options.config.poll_interval = kMillisecond;
   options.config.timer_interval = 10 * kMillisecond;
   options.config.heartbeat_interval = 10 * kMillisecond;
   options.config.failure_timeout = 250 * kMillisecond;

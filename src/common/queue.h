@@ -4,7 +4,6 @@
 #ifndef IMPELLER_SRC_COMMON_QUEUE_H_
 #define IMPELLER_SRC_COMMON_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -46,31 +45,6 @@ class BlockingQueue {
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
-  // Pop with a deadline; nullopt on timeout or on closed-and-drained.
-  std::optional<T> PopFor(std::chrono::nanoseconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait_for(lock, timeout,
-                        [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
     if (items_.empty()) {
       return std::nullopt;
     }

@@ -80,17 +80,6 @@ Result<int64_t> BinaryReader::ReadVarI64() {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
-Result<uint32_t> BinaryReader::ReadU32() {
-  auto v = ReadVarU64();
-  if (!v.ok()) {
-    return v.status();
-  }
-  if (*v > UINT32_MAX) {
-    return DataLossError("u32 out of range");
-  }
-  return static_cast<uint32_t>(*v);
-}
-
 Result<double> BinaryReader::ReadDouble() {
   if (pos_ + 8 > data_.size()) {
     return DataLossError("truncated double");

@@ -37,9 +37,6 @@ class BinaryWriter {
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
   void WriteVarU64(uint64_t v);
   void WriteVarI64(int64_t v);  // zigzag encoded
-  void WriteU32(uint32_t v) { WriteVarU64(v); }
-  void WriteU64(uint64_t v) { WriteVarU64(v); }
-  void WriteI64(int64_t v) { WriteVarI64(v); }
   void WriteDouble(double v);
   void WriteString(std::string_view s);
   void WriteBytes(const void* data, size_t size);
@@ -64,9 +61,6 @@ class BinaryReader {
   Result<bool> ReadBool();
   Result<uint64_t> ReadVarU64();
   Result<int64_t> ReadVarI64();
-  Result<uint32_t> ReadU32();
-  Result<uint64_t> ReadU64() { return ReadVarU64(); }
-  Result<int64_t> ReadI64() { return ReadVarI64(); }
   Result<double> ReadDouble();
   Result<std::string> ReadString();
   // Zero-copy variant: the returned view aliases the reader's underlying

@@ -9,51 +9,71 @@ namespace impeller {
 
 Result<std::optional<CutInfo>> ExtractCut(const Envelope& env, Lsn lsn,
                                           std::string_view task_id) {
+  std::optional<CutInfo> cut;
   if (env.header.producer != task_id) {
-    return std::optional<CutInfo>(std::nullopt);
+    return cut;
   }
   if (env.header.type == RecordType::kProgressMarker) {
-    auto marker = DecodeProgressMarker(env.body);
-    if (!marker.ok()) {
-      return marker.status();
+    IMPELLER_ASSIGN_OR_RETURN(ProgressMarker marker,
+                              DecodeProgressMarker(env.body));
+    cut.emplace();
+    cut->marker_seq = marker.marker_seq;
+    cut->changelog_from = marker.changelog_from;
+    cut->input_ends = std::move(marker.input_ends);
+  } else if (env.header.type == RecordType::kTxnControl) {
+    IMPELLER_ASSIGN_OR_RETURN(TxnControlBody body,
+                              DecodeTxnControlBody(env.body));
+    if (body.kind != TxnControlKind::kCommit) {
+      return cut;
     }
-    CutInfo cut;
-    cut.instance = env.header.instance;
-    cut.lsn = lsn;
-    cut.marker_seq = marker->marker_seq;
-    cut.changelog_from = marker->changelog_from;
-    cut.input_ends = std::move(marker->input_ends);
-    return std::optional<CutInfo>(std::move(cut));
+    cut.emplace();
+    cut->changelog_from = body.changelog_from;
+    cut->input_ends = std::move(body.input_ends);
+  } else {
+    return cut;
   }
-  if (env.header.type == RecordType::kTxnControl) {
-    auto body = DecodeTxnControlBody(env.body);
-    if (!body.ok()) {
-      return body.status();
+  cut->instance = env.header.instance;
+  cut->lsn = lsn;
+  return cut;
+}
+
+Result<std::optional<CutInfo>> LastCommittedCut(SharedLog* log,
+                                                const std::string& task_id) {
+  std::string tag = TaskLogTag(task_id);
+  auto cut_at = [&](const LogEntry& entry) -> Result<std::optional<CutInfo>> {
+    IMPELLER_ASSIGN_OR_RETURN(Envelope env, DecodeEnvelope(entry.payload));
+    return ExtractCut(env, entry.lsn, task_id);
+  };
+  auto last = log->ReadLast(tag);
+  if (!last.ok()) {
+    if (last.status().code() == StatusCode::kNotFound) {
+      return std::optional<CutInfo>(std::nullopt);  // never committed
     }
-    if (body->kind != TxnControlKind::kCommit) {
-      return std::optional<CutInfo>(std::nullopt);
-    }
-    CutInfo cut;
-    cut.instance = env.header.instance;
-    cut.lsn = lsn;
-    cut.txn_id = body->txn_id;
-    cut.changelog_from = body->changelog_from;
-    cut.input_ends = std::move(body->input_ends);
-    return std::optional<CutInfo>(std::move(cut));
+    return last.status();
   }
-  return std::optional<CutInfo>(std::nullopt);
+  IMPELLER_ASSIGN_OR_RETURN(std::optional<CutInfo> tail, cut_at(*last));
+  if (tail.has_value()) {
+    return tail;
+  }
+  std::optional<CutInfo> best;
+  for (auto entry = log->ReadNext(tag, 0); entry.ok();
+       entry = log->ReadNext(tag, entry->lsn + 1)) {
+    IMPELLER_ASSIGN_OR_RETURN(auto cut, cut_at(*entry));
+    if (cut.has_value()) {
+      best = std::move(cut);
+    }
+  }
+  return best;
 }
 
 Result<ReplayStats> ReplayChangelog(
     SharedLog* log, const std::string& task_id, Lsn from_lsn, Lsn until_lsn,
-    uint64_t until_txn_id,
     const std::function<void(const ChangeLogView&)>& apply) {
   ReplayStats stats;
   stats.next_lsn = from_lsn;
   if (until_lsn == kInvalidLsn) {
     return stats;  // no cut to replay to
   }
-  (void)until_txn_id;
   std::string tag = ChangeLogTag(task_id);
   // Every record the replay must apply already has an assigned LSN <=
   // until_lsn (the recovery cut was read, so everything it covers is
@@ -73,11 +93,7 @@ Result<ReplayStats> ReplayChangelog(
     }
     tag_tail = last->lsn;
   }
-  struct Pending {
-    uint64_t instance;
-    ChangeLogBody body;
-  };
-  std::vector<Pending> pending;
+  ChangelogFold fold;
   Lsn cursor = from_lsn;
   while (true) {
     if (cursor > tag_tail) {
@@ -101,42 +117,50 @@ Result<ReplayStats> ReplayChangelog(
     }
     cursor = entry->lsn + 1;
     stats.entries_read++;
-    auto env = DecodeEnvelope(entry->payload);
-    if (!env.ok()) {
-      return env.status();
-    }
-    if (env->header.type == RecordType::kChangeLog) {
-      auto body = DecodeChangeLogBody(env->body);
-      if (!body.ok()) {
-        return body.status();
-      }
-      pending.push_back({env->header.instance, std::move(*body)});
-    } else {
-      auto cut = ExtractCut(*env, entry->lsn, task_id);
-      if (!cut.ok()) {
-        return cut.status();
-      }
-      if (cut->has_value()) {
-        // Apply committed changes; drop superseded instances' changes; keep
-        // a newer instance's changes pending for its own first cut.
-        std::vector<Pending> keep;
-        for (auto& p : pending) {
-          if (p.instance == (*cut)->instance) {
-            apply(ChangeLogView{p.body.store, p.body.key, p.body.is_delete,
-                                p.body.value, p.body.substream});
-            stats.changes_applied++;
-          } else if (p.instance > (*cut)->instance) {
-            keep.push_back(std::move(p));
-          }
-        }
-        pending = std::move(keep);
-        stats.next_lsn = entry->lsn + 1;
-        if (entry->lsn == until_lsn) {
-          return stats;  // the recovery cut itself (marker protocols)
-        }
+    IMPELLER_ASSIGN_OR_RETURN(Envelope env, DecodeEnvelope(entry->payload));
+    IMPELLER_ASSIGN_OR_RETURN(
+        auto cut, fold.Add(env, entry->lsn, task_id,
+                           [&](const ChangeLogBody& change) {
+                             apply(ChangeLogView{change.store, change.key,
+                                                 change.is_delete,
+                                                 change.value,
+                                                 change.substream});
+                             stats.changes_applied++;
+                           }));
+    if (cut.has_value()) {
+      stats.next_lsn = entry->lsn + 1;
+      if (entry->lsn == until_lsn) {
+        return stats;  // the recovery cut itself (marker protocols)
       }
     }
   }
+}
+
+Result<std::optional<CutInfo>> ChangelogFold::Add(
+    const Envelope& env, Lsn lsn, std::string_view task_id,
+    const std::function<void(const ChangeLogBody&)>& apply) {
+  if (env.header.type == RecordType::kChangeLog) {
+    IMPELLER_ASSIGN_OR_RETURN(ChangeLogBody body,
+                              DecodeChangeLogBody(env.body));
+    pending_.push_back({env.header.instance, std::move(body)});
+    return std::optional<CutInfo>(std::nullopt);
+  }
+  auto cut = ExtractCut(env, lsn, task_id);
+  if (!cut.ok() || !cut->has_value()) {
+    return cut;
+  }
+  // Apply committed changes; drop superseded instances' changes; keep a
+  // newer instance's changes pending for its own first cut.
+  std::vector<Pending> keep;
+  for (auto& p : pending_) {
+    if (p.instance == (*cut)->instance) {
+      apply(p.body);
+    } else if (p.instance > (*cut)->instance) {
+      keep.push_back(std::move(p));
+    }
+  }
+  pending_ = std::move(keep);
+  return cut;
 }
 
 std::string EncodeSnapshot(
@@ -153,21 +177,11 @@ std::string EncodeSnapshot(
 Result<std::map<std::string, std::string>> DecodeSnapshot(
     std::string_view raw) {
   BinaryReader r(raw);
-  auto n = r.ReadVarU64();
-  if (!n.ok()) {
-    return n.status();
-  }
+  IMPELLER_ASSIGN_OR_RETURN(uint64_t n, r.ReadVarU64());
   std::map<std::string, std::string> sections;
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto name = r.ReadString();
-    if (!name.ok()) {
-      return name.status();
-    }
-    auto data = r.ReadString();
-    if (!data.ok()) {
-      return data.status();
-    }
-    sections[std::move(*name)] = std::move(*data);
+  for (uint64_t i = 0; i < n; ++i) {
+    IMPELLER_ASSIGN_OR_RETURN(std::string name, r.ReadString());
+    IMPELLER_ASSIGN_OR_RETURN(sections[std::move(name)], r.ReadString());
   }
   return sections;
 }
@@ -191,21 +205,9 @@ std::string EncodeCheckpointMeta(const CheckpointMeta& meta) {
 Result<CheckpointMeta> DecodeCheckpointMeta(std::string_view raw) {
   BinaryReader r(raw);
   CheckpointMeta meta;
-  auto cut = r.ReadVarU64();
-  if (!cut.ok()) {
-    return cut.status();
-  }
-  meta.cut_lsn = *cut;
-  auto next = r.ReadVarU64();
-  if (!next.ok()) {
-    return next.status();
-  }
-  meta.next_replay_lsn = *next;
-  auto seq = r.ReadVarU64();
-  if (!seq.ok()) {
-    return seq.status();
-  }
-  meta.marker_seq = *seq;
+  IMPELLER_ASSIGN_OR_RETURN(meta.cut_lsn, r.ReadVarU64());
+  IMPELLER_ASSIGN_OR_RETURN(meta.next_replay_lsn, r.ReadVarU64());
+  IMPELLER_ASSIGN_OR_RETURN(meta.marker_seq, r.ReadVarU64());
   return meta;
 }
 
@@ -286,41 +288,22 @@ Status CheckpointWorker::Advance(ShadowTask& shadow) {
       return entry.status();
     }
     shadow.cursor = entry->lsn + 1;
-    auto env = DecodeEnvelope(entry->payload);
-    if (!env.ok()) {
-      return env.status();
+    IMPELLER_ASSIGN_OR_RETURN(Envelope env, DecodeEnvelope(entry->payload));
+    IMPELLER_ASSIGN_OR_RETURN(
+        auto cut,
+        shadow.fold.Add(env, entry->lsn, shadow.task_id,
+                        [&](const ChangeLogBody& change) {
+                          auto& store = shadow.stores[change.store];
+                          if (store == nullptr) {
+                            store = std::make_unique<MapStateStore>(
+                                change.store, nullptr);
+                          }
+                          store->ApplyChange(change);
+                        }));
+    if (cut.has_value()) {
+      shadow.last_cut_lsn = cut->lsn;
+      shadow.last_marker_seq = cut->marker_seq;
     }
-    if (env->header.type == RecordType::kChangeLog) {
-      auto body = DecodeChangeLogBody(env->body);
-      if (!body.ok()) {
-        return body.status();
-      }
-      shadow.pending.push_back(
-          {entry->lsn, env->header.instance, std::move(*body)});
-      continue;
-    }
-    auto cut = ExtractCut(*env, entry->lsn, shadow.task_id);
-    if (!cut.ok()) {
-      return cut.status();
-    }
-    if (!cut->has_value()) {
-      continue;
-    }
-    std::deque<ShadowTask::PendingChange> keep;
-    for (auto& p : shadow.pending) {
-      if (p.instance == (*cut)->instance) {
-        auto& store = shadow.stores[p.body.store];
-        if (store == nullptr) {
-          store = std::make_unique<MapStateStore>(p.body.store, nullptr);
-        }
-        store->ApplyChange(p.body);
-      } else if (p.instance > (*cut)->instance) {
-        keep.push_back(std::move(p));
-      }
-    }
-    shadow.pending = std::move(keep);
-    shadow.last_cut_lsn = (*cut)->lsn;
-    shadow.last_marker_seq = (*cut)->marker_seq;
   }
 }
 

@@ -16,7 +16,6 @@
 #define IMPELLER_SRC_CORE_CHECKPOINT_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -43,7 +42,6 @@ struct CutInfo {
   uint64_t instance = 0;
   Lsn lsn = kInvalidLsn;
   uint64_t marker_seq = 0;  // 0 for txn commit records
-  uint64_t txn_id = 0;      // 0 for progress markers
   Lsn changelog_from = kInvalidLsn;
   std::vector<std::pair<std::string, Lsn>> input_ends;
 };
@@ -54,6 +52,32 @@ struct CutInfo {
 Result<std::optional<CutInfo>> ExtractCut(const Envelope& env, Lsn lsn,
                                           std::string_view task_id);
 
+// Newest committed cut on a task's task log, or nullopt if it never
+// committed. The tail record is the common case; a non-cut tail (e.g. an
+// aborted transaction's control record left by a crash) falls back to a
+// forward scan for the last *committed* cut.
+Result<std::optional<CutInfo>> LastCommittedCut(SharedLog* log,
+                                                const std::string& task_id);
+
+// The replay rule of §3.3.4 over a task's change log, one entry at a time:
+// a change waits for a cut of its own instance, which applies it; the cut
+// drops waiting changes of superseded instances and keeps newer ones.
+class ChangelogFold {
+ public:
+  // Takes in entry `env` at `lsn`; returns the cut it is, if any, after
+  // handing every change that cut commits to `apply`.
+  Result<std::optional<CutInfo>> Add(
+      const Envelope& env, Lsn lsn, std::string_view task_id,
+      const std::function<void(const ChangeLogBody&)>& apply);
+
+ private:
+  struct Pending {
+    uint64_t instance;
+    ChangeLogBody body;
+  };
+  std::vector<Pending> pending_;
+};
+
 struct ReplayStats {
   uint64_t entries_read = 0;
   uint64_t changes_applied = 0;
@@ -61,13 +85,12 @@ struct ReplayStats {
 };
 
 // Replays the (C, task) substream from `from_lsn`, invoking `apply` for
-// every committed change, up to the recovery target cut: a progress marker
-// sits at `until_lsn` itself; a transaction commit is matched by
-// `until_txn_id` (phase two appends one commit record per substream, so the
-// change-log's copy sits at a nearby lower LSN than the task-log's).
+// every committed change, up to the recovery target cut at `until_lsn`: a
+// progress marker sits there itself; a transaction's commit record on the
+// change log sits at a nearby lower LSN than the task log's (phase two
+// appends one commit record per substream).
 Result<ReplayStats> ReplayChangelog(
     SharedLog* log, const std::string& task_id, Lsn from_lsn, Lsn until_lsn,
-    uint64_t until_txn_id,
     const std::function<void(const ChangeLogView&)>& apply);
 
 // --- snapshot codec: named sections (one per state store + extras) ---
@@ -109,12 +132,7 @@ class CheckpointWorker {
   struct ShadowTask {
     std::string task_id;
     Lsn cursor = 0;  // next (C, task) position to read
-    struct PendingChange {
-      Lsn lsn;
-      uint64_t instance;
-      ChangeLogBody body;
-    };
-    std::deque<PendingChange> pending;
+    ChangelogFold fold;
     std::map<std::string, std::unique_ptr<MapStateStore>> stores;
     Lsn last_cut_lsn = kInvalidLsn;
     uint64_t last_marker_seq = 0;

@@ -30,15 +30,17 @@ void CommitTracker::OnCommitEvent(std::string_view producer,
 }
 
 bool CommitTracker::AllCommittedSince(uint64_t gen) const {
-  if (cuts_.empty()) {
-    return false;
-  }
+  bool any = false;
   for (const auto& [producer, cut] : cuts_) {
+    if (retired_.count(producer) != 0) {
+      continue;
+    }
     if (cut.generation <= gen) {
       return false;
     }
+    any = true;
   }
-  return true;
+  return any;
 }
 
 CommitState CommitTracker::Classify(std::string_view producer,
@@ -101,20 +103,10 @@ std::string CommitTracker::SerializeSeqMap() const {
 Status CommitTracker::RestoreSeqMap(std::string_view raw) {
   max_seq_.clear();
   BinaryReader r(raw);
-  auto n = r.ReadVarU64();
-  if (!n.ok()) {
-    return n.status();
-  }
-  for (uint64_t i = 0; i < *n; ++i) {
-    auto producer = r.ReadString();
-    if (!producer.ok()) {
-      return producer.status();
-    }
-    auto seq = r.ReadVarU64();
-    if (!seq.ok()) {
-      return seq.status();
-    }
-    max_seq_[std::move(*producer)] = *seq;
+  IMPELLER_ASSIGN_OR_RETURN(uint64_t n, r.ReadVarU64());
+  for (uint64_t i = 0; i < n; ++i) {
+    IMPELLER_ASSIGN_OR_RETURN(std::string producer, r.ReadString());
+    IMPELLER_ASSIGN_OR_RETURN(max_seq_[std::move(producer)], r.ReadVarU64());
   }
   return OkStatus();
 }

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 
 #include "src/common/status.h"
@@ -61,9 +62,15 @@ class CommitTracker {
   // Commit waves: every commit event gets the next generation number, kept
   // as its producer's latest. A consumer records generation() when it
   // commits; AllCommittedSince(gen) then tells whether every producer seen
-  // so far has committed again since (false while none is known).
+  // so far, retired ones aside, has committed again since (false while none
+  // is known).
   uint64_t generation() const { return generation_; }
   bool AllCommittedSince(uint64_t gen) const;
+  // Producers a scale-down retired: they never commit again, so waves stop
+  // waiting for them. Their cuts still classify what they wrote.
+  void SetRetired(std::set<std::string> producers) {
+    retired_ = std::move(producers);
+  }
 
   // Duplicate suppression: returns true when (substream, producer, seq) was
   // already accepted and the record must be dropped. Keyed per substream
@@ -95,6 +102,7 @@ class CommitTracker {
   // std::less<> for heterogeneous lookup: the hot path probes with
   // string_view producers decoded in place from log payloads.
   std::map<std::string, ProducerCut, std::less<>> cuts_;
+  std::set<std::string> retired_;
   uint64_t generation_ = 0;
   // "(substream tag)|(producer)" -> highest accepted sequence number.
   std::map<std::string, uint64_t, std::less<>> max_seq_;

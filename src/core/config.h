@@ -35,18 +35,9 @@ struct EngineConfig {
   DurationNs snapshot_interval = 10 * kSecond;
   bool enable_checkpointing = true;
 
-  // Output buffer: appends are batched until this many bytes or the commit
-  // point, whichever comes first.
-  size_t output_buffer_bytes = 128 * 1024;
+  // Output buffer: a forced flush at least this often (appends are also
+  // batched up to 128 KiB and at the commit point).
   DurationNs output_flush_interval = 10 * kMillisecond;
-
-  // Kafka-txn baseline: maximum bytes of output buffered while a commit is
-  // in flight before processing stalls (§3.6 "if its buffer fills up").
-  size_t txn_inflight_buffer_bytes = 128 * 1024;
-
-  // Input polling.
-  DurationNs poll_interval = 1 * kMillisecond;
-  size_t max_records_per_poll = 512;
 
   // Operator timer (window trigger) cadence.
   DurationNs timer_interval = 20 * kMillisecond;
@@ -77,10 +68,6 @@ struct EngineConfig {
   // Backoff for log-client appends on transient kUnavailable failures
   // (tasks, ingress producers, protocol coordinators).
   RetryPolicy retry;
-
-  // Whether sinks append results to an egress stream (paper measures
-  // latency at emission from the output operator, before the push).
-  bool write_egress = true;
 
   // Metrics-driven autoscaling (disabled by default): the engine runs an
   // Autoscaler that watches per-stage backlog and calls RescaleStage.

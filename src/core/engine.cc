@@ -96,11 +96,8 @@ Result<std::unique_ptr<EgressConsumer>> Engine::NewEgressConsumer(
   if (substream >= spec->num_substreams) {
     return InvalidArgumentError("egress substream out of range");
   }
-  bool read_committed =
-      options_.config.protocol == ProtocolKind::kProgressMarking ||
-      options_.config.protocol == ProtocolKind::kKafkaTxn;
-  return std::make_unique<EgressConsumer>(log_.get(), stream, substream,
-                                          read_committed);
+  return std::make_unique<EgressConsumer>(
+      log_.get(), stream, substream, manager_->protocols()->read_committed());
 }
 
 // --- IngressProducer ---
@@ -186,11 +183,8 @@ Result<std::vector<ReadyRecord>> EgressConsumer::PollAll() {
   std::vector<ReadyRecord> out;
   SubstreamReader::Hooks hooks;
   while (true) {
-    auto n = reader_.Poll(1024, &out, hooks);
-    if (!n.ok()) {
-      return n.status();
-    }
-    if (*n == 0) {
+    IMPELLER_ASSIGN_OR_RETURN(size_t n, reader_.Poll(1024, &out, hooks));
+    if (n == 0) {
       return out;
     }
   }

@@ -18,15 +18,6 @@ std::optional<std::string> MapStateStore::Get(std::string_view key) const {
   return it->second.value;
 }
 
-std::optional<std::string_view> MapStateStore::GetView(
-    std::string_view key) const {
-  auto it = data_.find(key);
-  if (it == data_.end()) {
-    return std::nullopt;
-  }
-  return std::string_view(it->second.value);
-}
-
 std::optional<uint32_t> MapStateStore::GetOwner(std::string_view key) const {
   auto it = data_.find(key);
   if (it == data_.end()) {
@@ -176,62 +167,32 @@ Status MapStateStore::RestoreSnapshot(std::string_view raw) {
 Status MapStateStore::MergeSnapshot(std::string_view raw,
                                     const OwnerFilter& keep) {
   BinaryReader r(raw);
-  auto first = r.ReadVarU64();
-  if (!first.ok()) {
-    return first.status();
-  }
-  bool has_owner = *first == kOwnedSnapshotMark;
-  uint64_t count = *first;
+  IMPELLER_ASSIGN_OR_RETURN(uint64_t count, r.ReadVarU64());
+  const bool has_owner = count == kOwnedSnapshotMark;
   if (has_owner) {
-    auto n = r.ReadVarU64();
-    if (!n.ok()) {
-      return n.status();
-    }
-    count = *n;
+    IMPELLER_ASSIGN_OR_RETURN(count, r.ReadVarU64());
   }
   for (uint64_t i = 0; i < count; ++i) {
-    auto key = r.ReadString();
-    if (!key.ok()) {
-      return key.status();
-    }
-    auto value = r.ReadString();
-    if (!value.ok()) {
-      return value.status();
-    }
+    IMPELLER_ASSIGN_OR_RETURN(std::string key, r.ReadString());
+    IMPELLER_ASSIGN_OR_RETURN(std::string value, r.ReadString());
     uint32_t owner = kUnownedSubstream;
     if (has_owner) {
-      auto owner_raw = r.ReadVarU64();
-      if (!owner_raw.ok()) {
-        return owner_raw.status();
-      }
-      owner = static_cast<uint32_t>(*owner_raw);
+      IMPELLER_ASSIGN_OR_RETURN(uint64_t owner_raw, r.ReadVarU64());
+      owner = static_cast<uint32_t>(owner_raw);
     }
     if (keep && !keep(owner)) {
       continue;
     }
     // Replacements (merging several handoff sources, or a snapshot over a
     // prior merge) must shed the old entry's size or bytes_ drifts upward.
-    auto it = data_.find(*key);
+    auto it = data_.find(key);
     if (it != data_.end()) {
       bytes_ -= std::min(bytes_, it->first.size() + it->second.value.size());
     }
-    bytes_ += key->size() + value->size();
-    data_.insert_or_assign(std::move(*key), Entry{std::move(*value), owner});
+    bytes_ += key.size() + value.size();
+    data_.insert_or_assign(std::move(key), Entry{std::move(value), owner});
   }
   return OkStatus();
-}
-
-void MapStateStore::RetainOwned(const OwnerFilter& keep) {
-  for (auto it = data_.begin(); it != data_.end();) {
-    uint32_t owner = it->second.owner;
-    if (keep && !keep(owner)) {
-      bytes_ -= std::min(bytes_, it->first.size() + it->second.value.size());
-      it = data_.erase(it);
-    } else {
-      it->second.owner = owner;  // filter may have normalized it
-      ++it;
-    }
-  }
 }
 
 void MapStateStore::Clear() {

@@ -50,9 +50,6 @@ class MapStateStore {
   const std::string& name() const { return name_; }
 
   std::optional<std::string> Get(std::string_view key) const;
-  // Zero-copy lookup: the returned view aliases the stored value and is
-  // valid until the next mutation of this store.
-  std::optional<std::string_view> GetView(std::string_view key) const;
   void Put(std::string_view key, std::string_view value);
   void Delete(std::string_view key);
 
@@ -94,8 +91,6 @@ class MapStateStore {
   // Merges a serialized snapshot without clearing, keeping only entries the
   // filter accepts (null = all); the split half of a rescale handoff.
   Status MergeSnapshot(std::string_view raw, const OwnerFilter& keep);
-  // Drops every entry the filter rejects (scale-up: shed foreign substreams).
-  void RetainOwned(const OwnerFilter& keep);
   void Clear();
 
  private:

@@ -26,8 +26,10 @@ void SubstreamReader::Restore(Lsn next_lsn, Lsn floor) {
 void SubstreamReader::Drain(std::vector<ReadyRecord>* out) {
   while (!buffer_.empty()) {
     BufferedEntry& head = buffer_.front();
-    CommitState state = tracker_->Classify(
-        head.header.producer, head.header.instance, head.lsn);
+    CommitState state =
+        head.committed ? CommitState::kCommitted
+                       : tracker_->Classify(head.header.producer,
+                                            head.header.instance, head.lsn);
     if (state == CommitState::kUnknown) {
       return;  // wait for a later commit event (paper §3.3.3, case 3)
     }
@@ -49,12 +51,23 @@ void SubstreamReader::Drain(std::vector<ReadyRecord>* out) {
   }
 }
 
+void SubstreamReader::MarkCommitted(std::string_view producer,
+                                    uint64_t instance, Lsn lsn) {
+  for (BufferedEntry& e : buffer_) {
+    if (e.lsn < lsn && e.header.instance == instance &&
+        e.header.producer == producer) {
+      e.committed = true;
+    }
+  }
+}
+
 void SubstreamReader::HandleEntry(LogEntry entry, const EnvelopeView& env,
                                   std::vector<ReadyRecord>* out,
                                   const Hooks& hooks) {
   switch (env.type) {
     case RecordType::kProgressMarker: {
       tracker_->OnCommitEvent(env.producer, env.instance, entry.lsn);
+      MarkCommitted(env.producer, env.instance, entry.lsn);
       if (buffer_.empty()) {
         committed_floor_ = entry.lsn;
       }
@@ -65,6 +78,7 @@ void SubstreamReader::HandleEntry(LogEntry entry, const EnvelopeView& env,
       auto body = DecodeTxnControlBody(env.body);
       if (body.ok() && body->kind == TxnControlKind::kCommit) {
         tracker_->OnCommitEvent(env.producer, env.instance, entry.lsn);
+        MarkCommitted(env.producer, env.instance, entry.lsn);
         Drain(out);
       }
       if (buffer_.empty()) {

@@ -85,10 +85,15 @@ class SubstreamReader {
     PayloadRef payload;  // pins the views below
     EnvelopeView header;
     DataView data;
+    bool committed = false;  // covered by a commit event of its instance
   };
 
   // Classifies and pops buffered records from the head.
   void Drain(std::vector<ReadyRecord>* out);
+  // A commit event commits its instance's buffered records below it now:
+  // held back behind another producer's unknown head until the producer's
+  // successor has committed too, they would read as superseded and drop.
+  void MarkCommitted(std::string_view producer, uint64_t instance, Lsn lsn);
   void HandleEntry(LogEntry entry, const EnvelopeView& env,
                    std::vector<ReadyRecord>* out, const Hooks& hooks);
 

@@ -29,46 +29,13 @@ Status TaskManager::Submit(QueryPlan plan) {
   plan_ = std::move(plan);
   submitted_ = true;
 
-  if (config_.protocol == ProtocolKind::kKafkaTxn) {
-    TxnCoordinatorOptions opts;
-    opts.name = plan_.name;
-    opts.metrics = metrics_;
-    opts.retry = config_.retry;
-    txn_coordinator_ = std::make_unique<TxnCoordinator>(log_, clock_, opts);
-    txn_coordinator_->Start();
-  }
-  if (config_.protocol == ProtocolKind::kAlignedCheckpoint) {
-    BarrierCoordinatorOptions opts;
-    opts.query = plan_.name;
-    opts.interval = config_.commit_interval;
-    opts.metrics = metrics_;
-    opts.retry = config_.retry;
-    barrier_coordinator_ = std::make_unique<BarrierCoordinator>(
-        log_, checkpoint_store_, clock_, opts);
-    std::vector<std::string> ingress_tags;
-    for (const auto& [name, stream] : plan_.streams) {
-      if (stream.external) {
-        for (uint32_t sub = 0; sub < stream.num_substreams; ++sub) {
-          ingress_tags.push_back(DataTag(name, sub));
-        }
-      }
-    }
-    std::vector<std::string> task_ids;
-    for (const auto& stage : plan_.stages) {
-      for (uint32_t i = 0; i < stage.num_tasks; ++i) {
-        task_ids.push_back(MakeTaskId(plan_.name, stage.name, i));
-      }
-    }
-    barrier_coordinator_->Configure(std::move(ingress_tags),
-                                    std::move(task_ids));
-  }
+  protocols_ = std::make_unique<ProtocolFactory>(
+      config_, plan_.name, log_, checkpoint_store_, clock_, metrics_);
   if (config_.enable_gc) {
     gc_worker_ = std::make_unique<GcWorker>(log_, &gc_registry_, clock_,
                                             config_.gc_interval);
   }
-  bool marker_mode = config_.protocol == ProtocolKind::kProgressMarking ||
-                     config_.protocol == ProtocolKind::kKafkaTxn;
-  if (marker_mode && config_.enable_checkpointing) {
+  if (protocols_->read_committed() && config_.enable_checkpointing) {
     checkpoint_worker_ = std::make_unique<CheckpointWorker>(
         log_, checkpoint_store_, clock_, config_.snapshot_interval,
         config_.enable_gc ? &gc_registry_ : nullptr);
@@ -97,9 +64,7 @@ Status TaskManager::Submit(QueryPlan plan) {
   if (gc_worker_ != nullptr) {
     gc_worker_->Start();
   }
-  if (barrier_coordinator_ != nullptr) {
-    barrier_coordinator_->Start();
-  }
+  protocols_->StartCoordinator(plan_);
   running_.store(true);
   if (config_.auto_restart) {
     monitor_ = JoiningThread([this] { MonitorLoop(); });
@@ -122,9 +87,9 @@ Status TaskManager::SpawnLocked(TaskEntry& entry, const std::string& task_id) {
   wiring.config = config_;
   wiring.metrics = metrics_;
   wiring.clock = clock_;
-  wiring.txn_coordinator = txn_coordinator_.get();
-  wiring.barrier_coordinator = barrier_coordinator_.get();
+  wiring.protocols = protocols_.get();
   wiring.gc = config_.enable_gc ? &gc_registry_ : nullptr;
+  wiring.retired = &retired_;
   // Rescale handoff lives on the entry so a monitor restart mid-handoff
   // re-passes it instead of losing the old generation's cursors and state.
   wiring.initial_input_ends = entry.handoff_ends;
@@ -179,22 +144,7 @@ void TaskManager::Stop() {
     for (uint32_t i = 0; i < stage->num_tasks; ++i) {
       ids.push_back(MakeTaskId(plan_.name, stage->name, i));
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& id : ids) {
-      auto it = tasks_.find(id);
-      if (it == tasks_.end()) {
-        continue;
-      }
-      if (it->second.runtime != nullptr) {
-        it->second.runtime->RequestStop();
-      }
-    }
-    for (const auto& id : ids) {
-      auto it = tasks_.find(id);
-      if (it != tasks_.end()) {
-        sched_->Wait(it->second.ticket);
-      }
-    }
+    StopTasks(ids, /*retire=*/false);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -205,17 +155,36 @@ void TaskManager::Stop() {
       }
     }
   }
-  if (barrier_coordinator_ != nullptr) {
-    barrier_coordinator_->Stop();
-  }
-  if (txn_coordinator_ != nullptr) {
-    txn_coordinator_->Stop();
-  }
+  protocols_->Stop();
   if (checkpoint_worker_ != nullptr) {
     checkpoint_worker_->Stop();
   }
   if (gc_worker_ != nullptr) {
     gc_worker_->Stop();
+  }
+}
+
+void TaskManager::StopTasks(const std::vector<std::string>& ids,
+                            bool retire) {
+  std::vector<sched::Ticket> tickets;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& id : ids) {
+      auto it = tasks_.find(id);
+      if (it == tasks_.end()) {
+        continue;
+      }
+      if (retire) {
+        it->second.retired = true;
+      }
+      if (it->second.runtime != nullptr) {
+        it->second.runtime->RequestStop();
+      }
+      tickets.push_back(it->second.ticket);
+    }
+  }
+  for (sched::Ticket ticket : tickets) {
+    sched_->Wait(ticket);
   }
 }
 
@@ -296,79 +265,6 @@ std::vector<std::string> TaskManager::AllTaskIds() const {
   return ids;
 }
 
-bool TaskManager::AllTasksIdle() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [id, entry] : tasks_) {
-    if (entry.runtime != nullptr && !entry.runtime->finished()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-namespace {
-
-// Runs a function on scope exit; RescaleStage uses it so the barrier
-// coordinator is resumed on every return path, including errors.
-template <typename F>
-class ScopeExit {
- public:
-  explicit ScopeExit(F fn) : fn_(std::move(fn)) {}
-  ScopeExit(const ScopeExit&) = delete;
-  ScopeExit& operator=(const ScopeExit&) = delete;
-  ~ScopeExit() { fn_(); }
-
- private:
-  F fn_;
-};
-
-// Newest committed cut on a task's log, or nullopt if it never committed.
-// The tail record is the common case; a non-cut tail (e.g. an aborted
-// transaction's control record left by a crash) falls back to a forward
-// scan so the handoff still finds the last *committed* positions.
-Result<std::optional<CutInfo>> LastCommittedCut(SharedLog* log,
-                                                const std::string& task_id) {
-  std::string tag = TaskLogTag(task_id);
-  auto last = log->ReadLast(tag);
-  if (!last.ok()) {
-    return std::optional<CutInfo>(std::nullopt);
-  }
-  auto env = DecodeEnvelope(last->payload);
-  if (!env.ok()) {
-    return env.status();
-  }
-  auto cut = ExtractCut(*env, last->lsn, task_id);
-  if (!cut.ok()) {
-    return cut.status();
-  }
-  if (cut->has_value()) {
-    return cut;
-  }
-  std::optional<CutInfo> best;
-  Lsn cursor = 0;
-  while (true) {
-    auto entry = log->ReadNext(tag, cursor);
-    if (!entry.ok()) {
-      break;
-    }
-    cursor = entry->lsn + 1;
-    auto e = DecodeEnvelope(entry->payload);
-    if (!e.ok()) {
-      return e.status();
-    }
-    auto c = ExtractCut(*e, entry->lsn, task_id);
-    if (!c.ok()) {
-      return c.status();
-    }
-    if (c->has_value()) {
-      best = std::move(**c);
-    }
-  }
-  return best;
-}
-
-}  // namespace
-
 Status TaskManager::RescaleStage(const std::string& stage_name,
                                  uint32_t new_tasks) {
   StageSpec* stage = nullptr;
@@ -390,30 +286,27 @@ Status TaskManager::RescaleStage(const std::string& stage_name,
   }
   // One rescale at a time: the autoscaler and tests may race.
   std::lock_guard<std::mutex> rescale_lock(rescale_mu_);
-  uint32_t old_tasks = stage->num_tasks;
-  if (new_tasks == old_tasks) {
+  if (new_tasks == stage->num_tasks) {
     return OkStatus();
   }
-  bool marker_mode = config_.protocol == ProtocolKind::kProgressMarking ||
-                     config_.protocol == ProtocolKind::kKafkaTxn;
-  bool aligned = config_.protocol == ProtocolKind::kAlignedCheckpoint;
-
   // Under aligned checkpointing the coordinator's task list is about to
   // change; pause it for the duration of the rescale so no checkpoint
-  // round spans the generation switch. The scope guard resumes it on EVERY
-  // exit path — a rescale that fails partway through must not leave
-  // checkpointing permanently halted.
-  bool paused_coordinator = false;
-  if (aligned && barrier_coordinator_ != nullptr) {
-    barrier_coordinator_->Stop();
-    paused_coordinator = true;
+  // round spans the generation switch, and resume it against the new task
+  // list however the switch ends — a rescale that fails partway through
+  // must not leave checkpointing permanently halted.
+  const bool paused_coordinator = protocols_->PauseCoordinator();
+  Status st = SwitchGeneration(stage, new_tasks, paused_coordinator);
+  if (paused_coordinator && !stopping_.load()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    protocols_->StartCoordinator(plan_);
   }
-  ScopeExit resume_coordinator([this, paused_coordinator] {
-    if (paused_coordinator && !stopping_.load()) {
-      ResumeBarrierCoordinator();
-    }
-  });
+  return st;
+}
 
+Status TaskManager::SwitchGeneration(StageSpec* stage, uint32_t new_tasks,
+                                     bool bounce_consumers) {
+  const std::string& stage_name = stage->name;
+  const uint32_t old_tasks = stage->num_tasks;
   std::vector<std::string> old_ids;
   for (uint32_t i = 0; i < old_tasks; ++i) {
     old_ids.push_back(MakeTaskId(plan_.name, stage->name, i));
@@ -425,30 +318,7 @@ Status TaskManager::RescaleStage(const std::string& stage_name,
   //    instance next to the new generation (a crash during the drain is
   //    fine: the handoff then starts from the task's last *committed* cut
   //    and the new generation redoes the uncommitted suffix).
-  {
-    std::vector<sched::Ticket> draining;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& id : old_ids) {
-        auto it = tasks_.find(id);
-        if (it == tasks_.end()) {
-          continue;
-        }
-        it->second.retired = true;
-        if (it->second.runtime != nullptr) {
-          it->second.runtime->RequestStop();
-        }
-        draining.push_back(it->second.ticket);
-      }
-    }
-    // Each graceful drain can take up to the drain deadline with live
-    // producers; waiting outside mu_ keeps the monitor's heartbeat checks,
-    // unrelated restarts, and stats collection responsive. The entries are
-    // already retired, so the monitor cannot respawn them mid-wait.
-    for (sched::Ticket ticket : draining) {
-      sched_->Wait(ticket);
-    }
-  }
+  StopTasks(old_ids, /*retire=*/true);
 
   // 2. Gather the handoff: every substream's consumed end, plus — for
   //    stateful stages — the state-ownership transfer material.
@@ -467,36 +337,25 @@ Status TaskManager::RescaleStage(const std::string& stage_name,
       }
     }
   };
-  if (marker_mode) {
+  if (protocols_->read_committed()) {
     // The changelog is the transfer medium: each old task's final cut names
     // the LSN up to which the new generation replays its changelog.
     for (uint32_t i = 0; i < old_tasks; ++i) {
       const std::string& id = old_ids[i];
-      auto cut = LastCommittedCut(log_, id);
-      if (!cut.ok()) {
-        return cut.status();
-      }
-      if (!cut->has_value()) {
+      IMPELLER_ASSIGN_OR_RETURN(auto cut, LastCommittedCut(log_, id));
+      if (!cut.has_value()) {
         continue;  // never committed: its substreams start fresh
       }
-      merge_ends((*cut)->input_ends);
+      merge_ends(cut->input_ends);
       if (stage->stateful) {
-        HandoffSource src;
-        src.task_id = id;
-        src.default_substream = i;
-        src.cut_lsn = (*cut)->lsn;
-        src.txn_id = (*cut)->txn_id;
-        sources.push_back(std::move(src));
+        sources.push_back({id, i, cut->lsn});
       }
     }
   } else {
     // No changelog under aligned/unsafe: export the stopped runtimes' state
     // (and commit-tracker continuation) in memory instead.
     direct = std::make_shared<DirectHandoff>();
-    direct->completed_ckpt_at_handoff =
-        barrier_coordinator_ != nullptr
-            ? barrier_coordinator_->LatestCompleted()
-            : 0;
+    direct->completed_ckpt_at_handoff = protocols_->LatestCheckpoint();
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& id : old_ids) {
       auto it = tasks_.find(id);
@@ -538,53 +397,42 @@ Status TaskManager::RescaleStage(const std::string& stage_name,
         it->second.retired = true;
       }
     }
+    std::lock_guard<std::mutex> retired_lock(retired_.mu);
+    retired_.ids.clear();
+    for (const auto& [id, entry] : tasks_) {
+      if (entry.retired) {
+        retired_.ids.insert(id);
+      }
+    }
+    retired_.version.fetch_add(1);
   }
 
-  if (aligned && barrier_coordinator_ != nullptr) {
+  if (bounce_consumers) {
     // A consumer's barrier alignment counts one barrier per producer task,
     // so the producer count baked into running consumers is now stale:
     // bounce them (graceful stop + respawn recovers from the latest
     // completed checkpoint; sequence dedup absorbs re-emissions).
+    std::vector<std::string> bounced;
     std::set<std::string> consumer_stages;
     for (const auto& [name, stream] : plan_.streams) {
       if (stream.producer_stage == stage_name &&
           !stream.consumer_stage.empty() &&
-          stream.consumer_stage != stage_name) {
-        consumer_stages.insert(stream.consumer_stage);
-      }
-    }
-    std::vector<std::pair<std::string, sched::Ticket>> bounced;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& consumer : consumer_stages) {
-        const StageSpec* cstage = plan_.FindStage(consumer);
-        if (cstage == nullptr) {
-          continue;
-        }
-        for (uint32_t i = 0; i < cstage->num_tasks; ++i) {
-          std::string id = MakeTaskId(plan_.name, cstage->name, i);
-          auto it = tasks_.find(id);
-          if (it == tasks_.end()) {
-            continue;
-          }
-          if (it->second.runtime != nullptr) {
-            it->second.runtime->RequestStop();
-          }
-          bounced.emplace_back(std::move(id), it->second.ticket);
+          stream.consumer_stage != stage_name &&
+          consumer_stages.insert(stream.consumer_stage).second) {
+        const StageSpec* consumer = plan_.FindStage(stream.consumer_stage);
+        for (uint32_t i = 0; consumer != nullptr && i < consumer->num_tasks;
+             ++i) {
+          bounced.push_back(MakeTaskId(plan_.name, consumer->name, i));
         }
       }
     }
-    // Graceful drains run up to the drain deadline each; wait outside mu_
-    // so the manager stays responsive (see step 1).
-    for (const auto& [id, ticket] : bounced) {
-      sched_->Wait(ticket);
-    }
+    StopTasks(bounced, /*retire=*/false);
     // Respawn every bounced consumer even if one spawn fails — a stopped
     // task left behind would silently halt its stage.
     Status bounce_status = OkStatus();
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& [id, ticket] : bounced) {
+      for (const auto& id : bounced) {
         auto it = tasks_.find(id);
         if (it == tasks_.end()) {
           continue;
@@ -602,37 +450,12 @@ Status TaskManager::RescaleStage(const std::string& stage_name,
     IMPELLER_RETURN_IF_ERROR(bounce_status);
   }
 
-  // The resume_coordinator scope guard re-Configures and restarts the
-  // barrier coordinator against the new task list on return.
   if (metrics_ != nullptr) {
     metrics_->GetCounter(new_tasks > old_tasks ? "rescale/up"
                                                : "rescale/down")
         ->Add();
   }
   return OkStatus();
-}
-
-void TaskManager::ResumeBarrierCoordinator() {
-  std::vector<std::string> ingress_tags;
-  std::vector<std::string> task_ids;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, stream] : plan_.streams) {
-      if (stream.external) {
-        for (uint32_t sub = 0; sub < stream.num_substreams; ++sub) {
-          ingress_tags.push_back(DataTag(name, sub));
-        }
-      }
-    }
-    for (const auto& s : plan_.stages) {
-      for (uint32_t i = 0; i < s.num_tasks; ++i) {
-        task_ids.push_back(MakeTaskId(plan_.name, s.name, i));
-      }
-    }
-  }
-  barrier_coordinator_->Configure(std::move(ingress_tags),
-                                  std::move(task_ids));
-  barrier_coordinator_->Start();
 }
 
 std::vector<StageStats> TaskManager::CollectStageStats() {

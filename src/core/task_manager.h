@@ -27,8 +27,6 @@
 #include "src/core/query.h"
 #include "src/core/task_runtime.h"
 #include "src/kvstore/kv_store.h"
-#include "src/protocols/barrier_coordinator.h"
-#include "src/protocols/txn_coordinator.h"
 #include "src/sched/scheduler.h"
 #include "src/sharedlog/shared_log.h"
 
@@ -92,15 +90,15 @@ class TaskManager {
   TaskRuntime* FindTask(const std::string& task_id);
 
   std::vector<std::string> AllTaskIds() const;
-  bool AllTasksIdle() const;  // every current task finished?
 
   const QueryPlan& plan() const { return plan_; }
-  TxnCoordinator* txn_coordinator() { return txn_coordinator_.get(); }
+  // The query's protocol; nullptr before Submit.
+  const ProtocolFactory* protocols() const { return protocols_.get(); }
+  TxnCoordinator* txn_coordinator() { return protocols_->txn_coordinator(); }
   BarrierCoordinator* barrier_coordinator() {
-    return barrier_coordinator_.get();
+    return protocols_->barrier_coordinator();
   }
   CheckpointWorker* checkpoint_worker() { return checkpoint_worker_.get(); }
-  GcWorker* gc_worker() { return gc_worker_.get(); }
   GcRegistry* gc_registry() { return &gc_registry_; }
 
  private:
@@ -125,9 +123,16 @@ class TaskManager {
   // Spawns a new instance for the entry (caller holds mu_); the entry's
   // retained handoff info (if any) seeds the new instance's wiring.
   Status SpawnLocked(TaskEntry& entry, const std::string& task_id);
-  // Re-Configures the barrier coordinator against the current task list and
-  // restarts it (aligned protocol only; takes mu_ to snapshot the plan).
-  void ResumeBarrierCoordinator();
+  // Requests a graceful stop of every task in `ids` (marking each retired
+  // first when `retire`, so the monitor cannot respawn it) and waits for
+  // them outside mu_: a drain against live producers can take its full
+  // deadline, and the monitor, restarts and stats must stay responsive.
+  void StopTasks(const std::vector<std::string>& ids, bool retire);
+  // RescaleStage's generation switch, with the barrier coordinator paused:
+  // stops the old generation, gathers its handoff, spawns the new one and,
+  // with `bounce_consumers`, restarts the stage's consumer stages.
+  Status SwitchGeneration(StageSpec* stage, uint32_t new_tasks,
+                          bool bounce_consumers);
   // Home-worker hint: log shard of the task's first owned input substream
   // (task i of T owns substreams s % T == i); falls back to the task index.
   uint32_t TaskAffinity(const TaskEntry& entry) const;
@@ -152,8 +157,9 @@ class TaskManager {
   // does not dedup; scale-up must only register genuinely new ids).
   std::set<std::string> checkpoint_registered_;
 
-  std::unique_ptr<TxnCoordinator> txn_coordinator_;
-  std::unique_ptr<BarrierCoordinator> barrier_coordinator_;
+  std::unique_ptr<ProtocolFactory> protocols_;
+  // Ids of the retired entries, shared with every task (commit waves).
+  RetiredTasks retired_;
   std::unique_ptr<CheckpointWorker> checkpoint_worker_;
   GcRegistry gc_registry_;
   std::unique_ptr<GcWorker> gc_worker_;

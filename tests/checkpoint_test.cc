@@ -78,7 +78,7 @@ TEST_F(CheckpointTest, ReplayAppliesCommittedChanges) {
   AppendChange(1, "c", "9");  // uncommitted suffix: must not apply
 
   MapStateStore store("agg", nullptr);
-  auto stats = ReplayChangelog(&log_, kTask, 0, cut2, 0,
+  auto stats = ReplayChangelog(&log_, kTask, 0, cut2,
                                [&](const ChangeLogView& c) {
                                  store.ApplyChange(c);
                                });
@@ -99,7 +99,7 @@ TEST_F(CheckpointTest, ReplayDropsSupersededInstanceChanges) {
   Lsn cut2 = AppendMarker(2, 2);
 
   MapStateStore store("agg", nullptr);
-  auto stats = ReplayChangelog(&log_, kTask, 0, cut2, 0,
+  auto stats = ReplayChangelog(&log_, kTask, 0, cut2,
                                [&](const ChangeLogView& c) {
                                  store.ApplyChange(c);
                                });
@@ -116,7 +116,7 @@ TEST_F(CheckpointTest, ReplayFromMidpointSkipsPrefix) {
   Lsn cut2 = AppendMarker(1, 2);
 
   MapStateStore store("agg", nullptr);
-  auto stats = ReplayChangelog(&log_, kTask, cut1 + 1, cut2, 0,
+  auto stats = ReplayChangelog(&log_, kTask, cut1 + 1, cut2,
                                [&](const ChangeLogView& c) {
                                  store.ApplyChange(c);
                                });
@@ -127,7 +127,7 @@ TEST_F(CheckpointTest, ReplayFromMidpointSkipsPrefix) {
 
 TEST_F(CheckpointTest, ReplayToInvalidCutIsEmpty) {
   MapStateStore store("agg", nullptr);
-  auto stats = ReplayChangelog(&log_, kTask, 0, kInvalidLsn, 0,
+  auto stats = ReplayChangelog(&log_, kTask, 0, kInvalidLsn,
                                [&](const ChangeLogView&) { FAIL(); });
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->entries_read, 0u);

@@ -104,6 +104,24 @@ TEST_F(SubstreamReaderTest, HeadOfLineBlocksLaterCommittedRecords) {
   EXPECT_EQ(out[1].data.value, "b1");
 }
 
+TEST_F(SubstreamReaderTest, CommittedRecordsBehindTheHeadSurviveARestart) {
+  // b1 is committed by B's first instance while A's crashed instance holds
+  // the head. By the time the head clears, B has restarted and committed
+  // again: b1 must still be delivered, a1 dropped.
+  CommitTracker tracker(true);
+  SubstreamReader reader(&log_, kTag, 0, &tracker, 0);
+  AppendData("A", 1, "a1");  // never committed: A crashes
+  AppendData("B", 1, "b1");
+  AppendMarker("B", 1);
+  AppendMarker("B", 2);  // B restarted and committed its next epoch
+  AppendData("A", 2, "a2");
+  AppendMarker("A", 2);
+  auto out = PollAll(reader);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].data.value, "b1");
+  EXPECT_EQ(out[1].data.value, "a2");
+}
+
 TEST_F(SubstreamReaderTest, ZombieOutputsAreDiscarded) {
   CommitTracker tracker(true);
   SubstreamReader reader(&log_, kTag, 0, &tracker, 0);

@@ -50,7 +50,6 @@ inline EngineConfig FastConfig(ProtocolKind protocol) {
   config.commit_interval = 20 * kMillisecond;
   config.snapshot_interval = 300 * kMillisecond;
   config.output_flush_interval = 5 * kMillisecond;
-  config.poll_interval = kMillisecond;
   config.timer_interval = 10 * kMillisecond;
   config.auto_restart = false;  // tests inject faults deterministically
   return config;
