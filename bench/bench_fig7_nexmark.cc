@@ -9,6 +9,7 @@
 // p99 cutoff (60 ms for Q1-2, 1 s for Q3-8). Input rates here are ~10x
 // below the paper's (single host); see DESIGN.md §1.
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -16,6 +17,12 @@
 namespace impeller {
 namespace bench {
 namespace {
+
+// A latency cell: "-" for a point that emitted nothing, whose 0 p50/p99
+// is no measurement.
+std::string Cell(const RunResult& r, int64_t ns) {
+  return r.outputs == 0 ? "-" : Ms(ns) + "ms";
+}
 
 std::vector<double> RatesFor(int query) {
   // Roughly 10x below the paper's sweeps, adjusted per query weight.
@@ -63,13 +70,15 @@ int Main(int only_query) {
         config.query = query;
         config.events_per_sec = rate;
         results.push_back(RunPoint(config));
-        std::printf(" %8sms%s", Ms(results.back().p50).c_str(),
-                    results.back().saturated ? "*" : " ");
+        const RunResult& r = results.back();
+        std::printf(" %10s%s", Cell(r, r.p50).c_str(),
+                    r.saturated ? "*" : " ");
         std::fflush(stdout);
       }
       std::printf("\n  %-18s p99:", "");
       for (const RunResult& r : results) {
-        std::printf(" %8sms%s", Ms(r.p99).c_str(), r.saturated ? "*" : " ");
+        std::printf(" %10s%s", Cell(r, r.p99).c_str(),
+                    r.saturated ? "*" : " ");
       }
       std::printf("\n");
     }

@@ -1,6 +1,7 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/hash.h"
 #include "src/core/record.h"
@@ -112,7 +113,12 @@ IngressProducer::IngressProducer(SharedLog* log, std::string producer_id,
       num_substreams_(num_substreams),
       clock_(clock),
       retrier_(retry, Fnv1a(producer_id_), clock, metrics),
-      pending_(num_substreams) {}
+      pending_(num_substreams) {
+  tags_.reserve(num_substreams);
+  for (uint32_t sub = 0; sub < num_substreams; ++sub) {
+    tags_.push_back(DataTag(stream_, sub));
+  }
+}
 
 void IngressProducer::Send(std::string key, std::string value,
                            TimeNs event_time) {
@@ -131,35 +137,62 @@ void IngressProducer::SendDuplicate(std::string key, std::string value,
                        original_seq);
   AppendDataBody(w, key, value, stamped);
   AppendRequest req;
-  req.tags.push_back(DataTag(stream_, sub));
+  req.tags.push_back(tags_[sub]);
   req.payload = w.Take();
   pending_[sub].push_back(std::move(req));
   ++pending_count_;
 }
 
 Result<size_t> IngressProducer::Flush() {
+  // Group the substream batches by the shard their tag is placed on now
+  // (placement is re-read every flush, so a seal's re-placement holds):
+  // admits on one shard's sequencer serialize, so each shard gets one
+  // batch and one ordering round instead of one per substream.
+  std::vector<std::vector<uint32_t>> by_shard(log_->num_shards());
+  for (uint32_t sub = 0; sub < num_substreams_; ++sub) {
+    if (!pending_[sub].empty()) {
+      by_shard[log_->ShardOfTag(tags_[sub])].push_back(sub);
+    }
+  }
   size_t flushed = 0;
   TimeNs ack_at = 0;
   Status status = OkStatus();
-  for (auto& batch : pending_) {
-    if (batch.empty()) {
+  std::vector<AppendRequest> batch;
+  for (const auto& subs : by_shard) {
+    if (subs.empty()) {
       continue;
+    }
+    // Substream by substream, so each one's records keep their Send order
+    // inside the group's contiguous LSN range.
+    batch.clear();
+    for (uint32_t sub : subs) {
+      std::move(pending_[sub].begin(), pending_[sub].end(),
+                std::back_inserter(batch));
     }
     auto admitted = retrier_.Run("ingress_flush",
                                  [&] { return log_->AdmitBatch(batch); });
     if (!admitted.ok()) {
-      // AdmitBatch left this batch intact; it (and every later substream's
-      // batch) stays buffered for the caller's next Flush.
+      // AdmitBatch left the group intact: hand each substream its records
+      // back in order. They (and every later group) stay buffered for the
+      // caller's next Flush.
+      auto req = batch.begin();
+      for (uint32_t sub : subs) {
+        for (AppendRequest& slot : pending_[sub]) {
+          slot = std::move(*req++);
+        }
+      }
       status = admitted.status();
       break;
+    }
+    for (uint32_t sub : subs) {
+      pending_[sub].clear();
     }
     ack_at = std::max(ack_at, admitted->ack_at);
     flushed += batch.size();
     pending_count_ -= batch.size();
-    batch.clear();
   }
   if (flushed > 0) {
-    // Even a failed flush returns only after the batches it did admit are
+    // Even a failed flush returns only after the groups it did admit are
     // durable.
     log_->AwaitAck(ack_at);
   }

@@ -85,7 +85,7 @@ class Engine {
 };
 
 // Batching producer for an ingress stream: records are hashed to substreams
-// by key, buffered, and flushed as one batch append per substream — the
+// by key and buffered; a flush appends them as one batch per log shard — the
 // paper's input generators flush every 10/100 ms (§5.3).
 class IngressProducer {
  public:
@@ -97,13 +97,17 @@ class IngressProducer {
   void Send(std::string key, std::string value, TimeNs event_time = 0);
 
   // Appends all buffered records and returns, with the number appended,
-  // once every one of them is durable. The substream batches are admitted
-  // back to back and share one wait for the latest ack, so a flush costs
-  // one ack round rather than one per substream. On a transient failure
-  // (retries exhausted) the unflushed substream batches
-  // stay buffered: a later Flush re-issues them with their original
-  // sequence numbers, and §3.5 duplicate suppression absorbs any batch the
-  // log durably appended but failed to acknowledge.
+  // once every one of them is durable. Substreams whose tags the log places
+  // on the same shard are appended as one batch: admits on one shard's
+  // sequencer serialize (one ordering round each), so a flush costs one
+  // round per shard it touches, not one per substream. Rounds on different
+  // shards overlap, and the flush waits once, for the latest ack. Each
+  // substream's records keep their Send order inside their shard's batch.
+  // On a transient failure (retries exhausted) the failed shard's records,
+  // and those of every shard not yet admitted, stay buffered: a later Flush
+  // re-issues them with their original sequence numbers, and §3.5
+  // duplicate suppression absorbs any batch the log durably appended but
+  // failed to acknowledge.
   Result<size_t> Flush();
 
   size_t buffered() const;
@@ -122,6 +126,7 @@ class IngressProducer {
   Clock* clock_;
   Retrier retrier_;
   uint64_t seq_ = 0;
+  std::vector<std::string> tags_;  // per substream
   std::vector<std::vector<AppendRequest>> pending_;  // per substream
   size_t pending_count_ = 0;
 };

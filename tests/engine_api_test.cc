@@ -1,7 +1,8 @@
 // Engine/TaskManager API-contract tests: misuse is rejected with clear
 // errors instead of undefined behaviour, no scheduler worker is ever
 // parked on a modeled log ack, consumers commit in waves behind their
-// producers, and sources commit behind their input bursts.
+// producers, sources commit behind their input bursts, and an ingress
+// flush takes one ordering round per log shard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <thread>
 
 #include "src/core/checkpoint.h"
+#include "src/core/query.h"
 #include "src/core/record.h"
 #include "src/core/stream.h"
 #include "src/nexmark/driver.h"
@@ -407,6 +409,163 @@ TEST(EngineApiTest, ContinuousInputKeepsTheCommitCadence) {
         << source_commits << " source commits in " << elapsed / kMillisecond
         << " ms";
   }
+}
+
+// --- Ingress flushes: one ordering round per log shard ---
+
+constexpr uint32_t kIngressSubs = 8;
+
+std::unique_ptr<SharedLog> IngressLog(uint32_t shards,
+                                      MetricsRegistry* metrics,
+                                      bool auto_seal = true) {
+  SharedLogOptions options;
+  options.name = "log";
+  options.shards = shards;
+  options.metrics = metrics;
+  options.failover.auto_seal = auto_seal;
+  return std::make_unique<SharedLog>(std::move(options));
+}
+
+// Sends `n` records to "src" (keys k0..k<n-1>, spread over every
+// substream); returns each substream's sequence numbers in Send order.
+std::vector<std::vector<uint64_t>> SendSpread(IngressProducer& producer,
+                                              int n) {
+  std::vector<std::vector<uint64_t>> seqs(kIngressSubs);
+  for (int i = 0; i < n; ++i) {
+    std::string key = "k" + std::to_string(i);
+    seqs[HashPartition(key, kIngressSubs)].push_back(producer.sent() + 1);
+    producer.Send(key, "v" + std::to_string(i));
+  }
+  return seqs;
+}
+
+// Reads every substream of "src" through read-committed consumers until
+// `want` records have arrived, plus one more poll to catch duplicates;
+// returns each substream's sequence numbers in log order.
+std::vector<std::vector<uint64_t>> ReadBack(SharedLog* log, size_t want) {
+  std::vector<std::unique_ptr<EgressConsumer>> consumers;
+  for (uint32_t sub = 0; sub < kIngressSubs; ++sub) {
+    consumers.push_back(std::make_unique<EgressConsumer>(
+        log, "src", sub, /*read_committed=*/true));
+  }
+  std::vector<std::vector<uint64_t>> seqs(kIngressSubs);
+  size_t got = 0;
+  auto poll = [&] {
+    for (uint32_t sub = 0; sub < kIngressSubs; ++sub) {
+      auto records = consumers[sub]->PollAll();
+      EXPECT_TRUE(records.ok()) << records.status().ToString();
+      if (!records.ok()) {
+        continue;
+      }
+      for (const ReadyRecord& r : *records) {
+        seqs[sub].push_back(r.header.seq);
+        ++got;
+      }
+    }
+    return got >= want;
+  };
+  EXPECT_TRUE(WaitFor(poll)) << got << " of " << want << " records read";
+  poll();
+  return seqs;
+}
+
+// Substreams placed on one shard share one batch append: a flush raises
+// log/appends by the number of distinct shards it touches, every record
+// lands on its substream's shard, and each substream reads back in Send
+// order, once each.
+TEST(EngineApiTest, IngressFlushTakesOneRoundPerShard) {
+  for (uint32_t shards : {4u, 1u}) {
+    MetricsRegistry metrics;
+    auto log = IngressLog(shards, &metrics);
+    IngressProducer producer(log.get(), "gen", "src", kIngressSubs,
+                             MonotonicClock::Get());
+    auto seqs = SendSpread(producer, 96);
+    std::map<uint32_t, uint64_t> shard_records;
+    for (uint32_t sub = 0; sub < kIngressSubs; ++sub) {
+      ASSERT_FALSE(seqs[sub].empty()) << "substream " << sub;
+      shard_records[log->ShardOfTag(DataTag("src", sub))] += seqs[sub].size();
+    }
+    ASSERT_LT(shard_records.size(), kIngressSubs)
+        << "some substreams must share a shard for the check to mean "
+           "anything";
+
+    auto flushed = producer.Flush();
+    ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+    EXPECT_EQ(*flushed, 96u);
+    EXPECT_EQ(producer.buffered(), 0u);
+    EXPECT_EQ(metrics.GetCounter("log/appends")->Get(), shard_records.size())
+        << "shards " << shards;
+    EXPECT_EQ(metrics.GetCounter("log/records")->Get(), 96u);
+    if (shards > 1) {
+      for (uint32_t s = 0; s < shards; ++s) {
+        EXPECT_EQ(
+            metrics.GetCounter("log/shard" + std::to_string(s) + "/records")
+                ->Get(),
+            shard_records.count(s) ? shard_records[s] : 0u)
+            << "shard " << s;
+      }
+    }
+    EXPECT_EQ(ReadBack(log.get(), 96), seqs) << "shards " << shards;
+  }
+}
+
+// A shard whose admits fail past the retry budget keeps exactly its
+// substreams' records buffered while the other shards' groups commit; once
+// the fault clears, the next Flush appends the held records with their
+// original sequence numbers, and a read-committed consumer sees every
+// record exactly once.
+TEST(EngineApiTest, IngressFlushHoldsAFailedShardsRecords) {
+#if !defined(IMPELLER_FAULT_INJECTION_ENABLED)
+  GTEST_SKIP() << "built with IMPELLER_FAULT_INJECTION=OFF";
+#endif
+  MetricsRegistry metrics;
+  auto log = IngressLog(4, &metrics, /*auto_seal=*/false);
+  RetryPolicy retry;
+  retry.max_attempts = 3;
+  retry.initial_backoff = 10 * kMicrosecond;
+  IngressProducer producer(log.get(), "gen", "src", kIngressSubs,
+                           MonotonicClock::Get(), retry);
+  auto seqs = SendSpread(producer, 96);
+  // The victim is the last shard the flush admits to (groups go in shard
+  // order), so no healthy group is left waiting behind it.
+  uint32_t victim = 0;
+  for (uint32_t sub = 0; sub < kIngressSubs; ++sub) {
+    victim = std::max(victim, log->ShardOfTag(DataTag("src", sub)));
+  }
+  size_t held = 0;
+  for (uint32_t sub = 0; sub < kIngressSubs; ++sub) {
+    if (log->ShardOfTag(DataTag("src", sub)) == victim) {
+      held += seqs[sub].size();
+    }
+  }
+  ASSERT_GT(held, 0u);
+  ASSERT_LT(held, 96u);
+  {
+    fault::FaultSchedule s;
+    s.point = "log/shard/append";
+    s.kind = fault::FaultKind::kError;
+    s.detail_substr = "/s" + std::to_string(victim);
+    s.every_n = 1;
+    s.max_fires = 0;
+    testutil::FaultArmGuard arm({s}, /*seed=*/3, &metrics);
+    auto flushed = producer.Flush();
+    EXPECT_EQ(flushed.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(producer.buffered(), held);
+    EXPECT_EQ(metrics.GetCounter("log/records")->Get(), 96u - held)
+        << "the healthy shards' records are durable";
+    EXPECT_EQ(
+        metrics
+            .GetCounter("log/shard" + std::to_string(victim) + "/records")
+            ->Get(),
+        0u);
+  }
+  auto flushed = producer.Flush();
+  ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
+  EXPECT_EQ(*flushed, held);
+  EXPECT_EQ(producer.buffered(), 0u);
+  EXPECT_EQ(ReadBack(log.get(), 96), seqs)
+      << "every record once, in Send order, with its original sequence "
+         "number";
 }
 
 TEST(EngineApiTest, ProducersRequireSubmittedPlan) {

@@ -6,7 +6,8 @@ committed in the repo and fails (exit 1) when:
 
   * the gated field (--field, default ns_per_op; e.g. p50_ns for the
     fig7 latency rows) of any benchmark present in both files regresses by
-    more than --threshold (default 10%), or
+    more than --threshold (default 10%), or is 0 or missing in the current
+    run while positive in the baseline (a row that stopped measuring), or
   * allocs_per_record of any benchmark regresses by more than
     --alloc-slack (default 0.5 allocations/record).
 
@@ -59,7 +60,13 @@ def main():
             continue
         compared += 1
         b_val, c_val = b.get(args.field), c.get(args.field)
-        if b_val and c_val:
+        if b_val and not c_val:
+            # A row that measured something before and nothing now (no
+            # outputs, so a 0 latency) has regressed, not improved.
+            failures.append(f"{name}: {args.field} {b_val:.1f} -> {c_val} "
+                            "(no measurement)")
+            print(f"  [FAIL] {name}: {args.field} {b_val:.1f} -> {c_val}")
+        elif b_val and c_val:
             ratio = c_val / b_val
             marker = "OK"
             if ratio > 1.0 + args.threshold:
