@@ -7,8 +7,10 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <iterator>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace impeller {
 
@@ -52,6 +54,18 @@ class BlockingQueue {
     items_.pop_front();
     not_full_.notify_one();
     return item;
+  }
+
+  // Blocks while empty, then takes every queued item in FIFO order. Returns
+  // an empty vector once closed and drained.
+  std::vector<T> PopAll() {
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
+    std::vector<T> out(std::make_move_iterator(items_.begin()),
+                       std::make_move_iterator(items_.end()));
+    items_.clear();
+    not_full_.notify_all();
+    return out;
   }
 
   void Close() {

@@ -9,12 +9,23 @@
 // (BeginTransaction + PhaseOne::Poll), holding each modeled wait as a due
 // time instead of sleeping its scheduler worker on it.
 //
-// Phase two (asynchronous, coordinator worker thread): the coordinator
-// appends a commit control record to every registered substream (committing
-// the task's records below that control record's LSN for downstream
-// consumers), then a transaction-committed record to its transaction
-// stream, and finally resolves the future handed back to the task. A task
-// cannot start committing transaction N+1 before N's future resolves.
+// The transaction stream commits in groups: at most one round of it is in
+// flight per coordinator. Records that arrive meanwhile queue, and the
+// first caller to find that round acked admits them all as the next round.
+// A transaction alone on the coordinator admits at once, so it takes the
+// same rounds as without grouping.
+//
+// Phase two (asynchronous, coordinator worker thread): each pass takes every
+// transaction handed off since the last one. For each it admits a commit
+// control record to every registered substream (committing the task's
+// records below that control record's LSN for downstream consumers) as one
+// batch of its own, conditional on that task's instance key, so a fenced
+// zombie fails only itself. The pass then waits once for the latest of
+// those acks, writes the group's transaction-committed records in one
+// transaction-stream round, and resolves each transaction's future (Kafka's
+// coordinator likewise sends one batched WriteTxnMarkers request per
+// broker). A task cannot start committing transaction N+1 before N's future
+// resolves.
 #ifndef IMPELLER_SRC_PROTOCOLS_TXN_COORDINATOR_H_
 #define IMPELLER_SRC_PROTOCOLS_TXN_COORDINATOR_H_
 
@@ -68,6 +79,15 @@ class TxnCoordinator {
     TxnRequest request;
     uint64_t txn_id;
     std::promise<Status> done;
+    obs::StepSpan phase2_span;  // "protocol/txn_phase2", pass start to done
+  };
+  // One transaction-stream round: the records queued for it, then, once
+  // admitted, its outcome (final from then on).
+  struct TxnRound {
+    std::vector<AppendRequest> records;
+    bool admitted = false;
+    Status status;
+    TimeNs ack_at = 0;
   };
 
  public:
@@ -93,23 +113,27 @@ class TxnCoordinator {
 
    private:
     friend class TxnCoordinator;
+    // kRegister and kPreCommit each queue their transaction-stream record
+    // (holding a ticket), then wait for the ack of the round carrying it.
     enum class Stage { kRegister, kPreCommit, kHandOff, kReply, kDone };
 
-    PhaseOne(TxnCoordinator* coordinator, std::unique_ptr<PendingTxn> txn);
+    PhaseOne(TxnCoordinator* coordinator, std::unique_ptr<PendingTxn> txn,
+             DurationNs first_wait);
     void Finish(Result<std::shared_future<Status>> result);
 
     TxnCoordinator* coordinator_;
     std::unique_ptr<PendingTxn> txn_;
     Stage stage_ = Stage::kRegister;
     TimeNs due_ = 0;
+    std::shared_ptr<TxnRound> ticket_;  // this stage's queued record
     std::shared_future<Status> done_;
     Result<std::shared_future<Status>> result_;
     obs::StepSpan span_;  // "protocol/txn_phase1", start to Finish
   };
 
   // Starts phase one (the instance fencing check runs here) and returns the
-  // state machine the caller drives with Poll(). kFenced when the instance
-  // was superseded.
+  // state machine the caller drives with Poll(); it never waits itself.
+  // kFenced when the instance was superseded.
   Result<std::unique_ptr<PhaseOne>> BeginTransaction(TxnRequest request);
 
   const std::string& txn_stream_tag() const { return txn_stream_tag_; }
@@ -119,10 +143,17 @@ class TxnCoordinator {
   // One modeled one-way RPC latency.
   DurationNs RpcDelay();
   void WorkerLoop();
-  // Admits one record to the transaction stream; returns its ack time.
-  Result<TimeNs> AdmitTxnStream(TxnControlKind kind, uint64_t txn_id,
-                                const std::string& task_id,
-                                uint64_t instance);
+  // Phase two of one pass's transactions.
+  void CommitGroup(std::vector<std::unique_ptr<PendingTxn>> group);
+  // One transaction-control record for `txn` on `tag`.
+  AppendRequest ControlRecord(const std::string& tag, TxnControlBody body,
+                              const PendingTxn& txn);
+  // Queues `records` for the next transaction-stream round and returns it.
+  std::shared_ptr<TxnRound> QueueTxnStream(
+      std::vector<AppendRequest> records);
+  // Admits the queued round if no round is in flight. Returns 0 once
+  // `round` is admitted, else how long to wait before pumping again.
+  DurationNs PumpTxnStream(const TxnRound& round);
 
   SharedLog* log_;
   Clock* clock_;
@@ -136,6 +167,12 @@ class TxnCoordinator {
   std::atomic<uint64_t> next_txn_id_{1};
   std::atomic<uint64_t> committed_{0};
   std::atomic<uint64_t> coord_seq_{0};
+
+  std::mutex stream_mu_;  // guards the transaction-stream rounds below
+  std::shared_ptr<TxnRound> queued_round_;
+  bool admitting_ = false;  // a caller is admitting the round it dequeued
+  TimeNs stream_busy_until_ = 0;  // the last admitted round's ack
+
   BlockingQueue<std::unique_ptr<PendingTxn>> phase2_;
   JoiningThread worker_;
   std::atomic<bool> running_{false};

@@ -436,6 +436,19 @@ TEST(QueueTest, CloseDrainsThenEnds) {
   EXPECT_FALSE(q.Pop().has_value());
 }
 
+TEST(QueueTest, PopAllTakesEverythingInOrder) {
+  BlockingQueue<int> q;
+  q.Push(1);
+  q.Push(2);
+  q.Push(3);
+  EXPECT_EQ(q.PopAll(), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.size(), 0u);
+  q.Push(4);
+  q.Close();
+  EXPECT_EQ(q.PopAll(), (std::vector<int>{4}));
+  EXPECT_TRUE(q.PopAll().empty());
+}
+
 TEST(QueueTest, CapacityBlocksTryPush) {
   BlockingQueue<int> q(2);
   EXPECT_TRUE(q.TryPush(1));
