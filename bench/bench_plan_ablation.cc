@@ -45,7 +45,7 @@ RunResult RunAblationPoint(const RunConfig& config, bool fuse) {
   std::snprintf(extra, sizeof(extra),
                 "\"fused\": %s, \"stages\": %zu, \"hops_eliminated\": %d",
                 fuse ? "true" : "false", built->lowered.stages.size(),
-                built->lowered.hops_eliminated);
+                built->lowered.hops_eliminated());
   return RunPreparedPoint(config, std::move(built->lowered.query),
                           fuse ? "fused" : "unfused", BenchSeed(), extra);
 }
@@ -69,7 +69,7 @@ int Main() {
     std::printf("\nQ%d (%.0f events/s): fused %zu stage(s) [%d hop(s) "
                 "eliminated], unfused %zu stage(s)\n",
                 query, FixedRateFor(query), fused_build->lowered.stages.size(),
-                fused_build->lowered.hops_eliminated,
+                fused_build->lowered.hops_eliminated(),
                 unfused_build->lowered.stages.size());
     for (bool fuse : {true, false}) {
       RunConfig config;

@@ -3,13 +3,13 @@
 // end-to-end event-time latency, optionally comparing protocols.
 //
 // Queries are built through the declarative plan layer (src/plan/) by
-// default: logical plan -> fusion/pushdown optimizer -> lowering. The
-// lowered QueryPlan is structurally identical to the imperative builders
+// default: logical plan -> lowering, with operator fusion on. The lowered
+// QueryPlan is structurally identical to the imperative builders
 // in src/nexmark/queries.cc (that equivalence is test-enforced).
 //
 // Usage: nexmark_demo [flags] [query 1-8] [events/s] [seconds] [protocol]
 //   protocol: impeller (default) | kafka-txn | aligned-ckpt | unsafe
-//   --explain   print the optimized plan (text tree) before running
+//   --explain   print the lowered plan (text tree) before running
 //   --dot       print the plan as Graphviz DOT instead of running
 //   --no-fuse   disable chain fusion: every operator its own stage, every
 //               boundary a log hop (the ablation baseline)

@@ -1,16 +1,16 @@
 // Quickstart: the paper's running example (Fig. 1/3) — distributed word
 // count with exactly-once semantics on a shared log, authored on the
 // declarative plan layer (src/plan/). The plan builder names UDFs with
-// registry handles, the optimizer fuses operator chains so only the
-// repartition before the counting aggregate pays a log hop, and lowering
-// emits the same QueryPlan the imperative QueryBuilder would.
+// registry handles, lowering fuses operator chains so only the repartition
+// before the counting aggregate pays a log hop, and emits the same
+// QueryPlan the imperative QueryBuilder would.
 //
 //   lines ──> [split: flat-map to words] ──repartition──> [count] ──> sink
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart              # plan-built pipeline
-//   ./build/examples/quickstart --explain    # print the optimized plan
+//   ./build/examples/quickstart --explain    # print the lowered plan
 //   ./build/examples/quickstart --no-plan    # original imperative build
 #include <cstdio>
 #include <cstring>
@@ -21,7 +21,6 @@
 #include "src/plan/explain.h"
 #include "src/plan/ir.h"
 #include "src/plan/lowering.h"
-#include "src/plan/optimizer.h"
 #include "src/plan/registry.h"
 
 using namespace impeller;
@@ -48,7 +47,7 @@ AggregateFn CountAgg() {
   return count;
 }
 
-// Declarative build: logical plan -> optimizer (fusion) -> lowering.
+// Declarative build: logical plan -> lowering (with fusion).
 // The flat_map and key_by fuse into one "split" stage; the stateful
 // aggregate starts the "count" stage after the repartition.
 Result<plan::LoweredPlan> BuildPlanned() {
@@ -68,11 +67,7 @@ Result<plan::LoweredPlan> BuildPlanned() {
   if (!logical.ok()) {
     return logical.status();
   }
-  auto optimized = plan::Optimizer::Default().Run(*logical, registry);
-  if (!optimized.ok()) {
-    return optimized.status();
-  }
-  return plan::LowerPlan(*optimized, registry);
+  return plan::LowerPlan(*logical, registry);
 }
 
 // The original hand-built pipeline (kept behind --no-plan).

@@ -30,20 +30,6 @@ void OutputBuffer::FinishRecord() {
   pending_bytes_ += rec.len;
 }
 
-void OutputBuffer::Add(Kind kind, AppendRequest&& request) {
-  assert(!record_open_);
-  PendingRecord rec;
-  rec.kind = kind;
-  if (!request.tags.empty()) {
-    rec.tag = std::move(request.tags.front());
-  }
-  rec.prebuilt = std::move(request.payload);
-  rec.is_prebuilt = true;
-  rec.len = rec.prebuilt.size();
-  pending_bytes_ += rec.len;
-  pending_.push_back(std::move(rec));
-}
-
 void OutputBuffer::SealBuffer() {
   if (buffer_.empty()) {
     return;
@@ -51,7 +37,7 @@ void OutputBuffer::SealBuffer() {
   auto sealed = std::make_shared<const std::string>(std::move(buffer_));
   buffer_.clear();
   for (PendingRecord& rec : pending_) {
-    if (!rec.is_prebuilt && rec.sealed == nullptr) {
+    if (rec.sealed == nullptr) {
       rec.sealed = sealed;
     }
   }
@@ -72,7 +58,7 @@ Result<OutputBuffer::FlushResult> OutputBuffer::Flush() {
   for (PendingRecord& rec : pending_) {
     AppendRequest req;
     req.tags.push_back(std::move(rec.tag));
-    req.payload = rec.Ref();
+    req.payload = PayloadRef(rec.sealed, rec.off, rec.len);
     batch.push_back(std::move(req));
   }
   auto admitted = retrier_ != nullptr

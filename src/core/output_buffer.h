@@ -41,10 +41,6 @@ class OutputBuffer {
   BinaryWriter& StartRecord(Kind kind, std::string tag);
   void FinishRecord();
 
-  // Compatibility path for prebuilt payloads; the request's payload bytes
-  // are not copied (PayloadRef move).
-  void Add(Kind kind, AppendRequest&& request);
-
   bool NeedsFlush() const { return pending_bytes_ >= capacity_bytes_; }
   // Full framed payload bytes (envelope header + body), not just body size.
   size_t pending_bytes() const { return pending_bytes_; }
@@ -69,18 +65,11 @@ class OutputBuffer {
   struct PendingRecord {
     Kind kind;
     std::string tag;
-    // Records encoded in place are [off, off+len) of buffer_ until the epoch
-    // is sealed, after which `sealed` pins the shared bytes. Prebuilt
-    // records carry their own PayloadRef instead.
+    // The record is [off, off+len) of buffer_ until the epoch is sealed,
+    // after which `sealed` pins the shared bytes.
     std::shared_ptr<const std::string> sealed;
     size_t off = 0;
     size_t len = 0;
-    PayloadRef prebuilt;
-    bool is_prebuilt = false;
-
-    PayloadRef Ref() const {
-      return is_prebuilt ? prebuilt : PayloadRef(sealed, off, len);
-    }
   };
 
   // Moves buffer_ into a shared immutable string and pins it onto every

@@ -5,10 +5,10 @@
 namespace impeller {
 namespace nexmark {
 
-plan::UdfRegistry NexmarkUdfRegistry() {
+namespace {
+
+plan::UdfRegistry MakeNexmarkUdfRegistry() {
   plan::UdfRegistry reg;
-  // Traits stay conservative (reads everything) on purpose: these UDFs
-  // decode whole event payloads, so no rewrite past them is provable.
   reg.RegisterPredicate("non_empty", NonEmptyValue);
   reg.RegisterPredicate("bid_on_sampled_auction", BidOnSampledAuction);
   reg.RegisterPredicate("auction_in_category10", AuctionInCategory10);
@@ -42,8 +42,6 @@ plan::UdfRegistry NexmarkUdfRegistry() {
   reg.RegisterAggregate("max_of_window_max", MaxOfWindowMaxAgg());
   return reg;
 }
-
-namespace {
 
 using plan::PlanBuilder;
 
@@ -167,6 +165,11 @@ Result<plan::LogicalPlan> PlanQ8(const NexmarkQueryOptions& opt) {
 
 }  // namespace
 
+const plan::UdfRegistry& NexmarkUdfRegistry() {
+  static const plan::UdfRegistry registry = MakeNexmarkUdfRegistry();
+  return registry;
+}
+
 Result<plan::LogicalPlan> BuildNexmarkLogicalPlan(
     int number, const NexmarkQueryOptions& options) {
   switch (number) {
@@ -196,12 +199,8 @@ Result<NexmarkPlanQuery> BuildNexmarkPlanQuery(
   NexmarkPlanQuery out;
   IMPELLER_ASSIGN_OR_RETURN(out.logical,
                             BuildNexmarkLogicalPlan(number, options));
-  plan::UdfRegistry registry = NexmarkUdfRegistry();
-  IMPELLER_ASSIGN_OR_RETURN(plan::OptimizedPlan optimized,
-                            plan::Optimizer::Default(fuse).Run(out.logical,
-                                                               registry));
-  IMPELLER_ASSIGN_OR_RETURN(out.lowered,
-                            plan::LowerPlan(optimized, registry));
+  IMPELLER_ASSIGN_OR_RETURN(
+      out.lowered, plan::LowerPlan(out.logical, NexmarkUdfRegistry(), fuse));
   return out;
 }
 

@@ -1,5 +1,5 @@
 // NEXMark Q1-Q8 authored on the declarative plan layer (src/plan/): the
-// logical plans here, optimized with fusion on, lower to QueryPlans
+// logical plans here, lowered with fusion on, give QueryPlans
 // structurally identical to the imperative builders in queries.cc — same
 // stage names, stream names, operator chains, and UDFs (the named
 // functions in udfs.h back both paths). tests/plan_nexmark_parity_test.cc
@@ -11,18 +11,17 @@
 #include "src/plan/explain.h"
 #include "src/plan/ir.h"
 #include "src/plan/lowering.h"
-#include "src/plan/optimizer.h"
 #include "src/plan/registry.h"
 
 namespace impeller {
 namespace nexmark {
 
 // Registry mapping every NEXMark UDF handle to the shared named functions
-// in udfs.h. Traits are left conservative: NEXMark plans are already
-// hand-optimal, so pushdown/pruning must (and do) leave them untouched.
-plan::UdfRegistry NexmarkUdfRegistry();
+// in udfs.h. Built once on first use and never changed after, so every
+// plan build shares it.
+const plan::UdfRegistry& NexmarkUdfRegistry();
 
-// The logical (pre-optimization) plan for query `number` (1-8).
+// The logical (unfused) plan for query `number` (1-8).
 Result<plan::LogicalPlan> BuildNexmarkLogicalPlan(
     int number, const NexmarkQueryOptions& options = {});
 
@@ -31,8 +30,8 @@ struct NexmarkPlanQuery {
   plan::LoweredPlan lowered;
 };
 
-// Full pipeline: build the logical plan, run the optimizer (`fuse` false =
-// every operator its own stage, the ablation baseline), lower it.
+// Full pipeline: build the logical plan and lower it (`fuse` false = every
+// operator its own stage, the ablation baseline).
 Result<NexmarkPlanQuery> BuildNexmarkPlanQuery(
     int number, const NexmarkQueryOptions& options = {}, bool fuse = true);
 

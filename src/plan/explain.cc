@@ -33,16 +33,13 @@ std::string ExplainText(const LoweredPlan& lowered) {
   out += "\n";
   out += "stages: " + std::to_string(lowered.stages.size()) +
          ", log hops eliminated by fusion: " +
-         std::to_string(lowered.hops_eliminated) + "\n";
+         std::to_string(lowered.hops_eliminated()) + "\n";
 
   for (const auto& stage : lowered.stages) {
     out += "\nstage " + stage.name + " [" + std::to_string(stage.tasks) +
            " task(s), " + (stage.stateful ? "stateful" : "stateless") + "]\n";
     for (const auto& input : stage.inputs) {
       out += "  <- " + input + StreamAnnotation(lowered, input) + "\n";
-    }
-    if (!stage.projection.empty()) {
-      out += "  projection: " + stage.projection + "\n";
     }
     out += "  ops:";
     for (size_t i = 0; i < stage.operators.size(); ++i) {
@@ -61,10 +58,7 @@ std::string ExplainText(const LoweredPlan& lowered) {
     }
   }
   if (!lowered.pass_log.empty()) {
-    out += "\npass log:\n";
-    for (const auto& line : lowered.pass_log) {
-      out += "  " + line + "\n";
-    }
+    out += "\npass log:\n  " + lowered.pass_log + "\n";
   }
   return out;
 }
@@ -108,8 +102,8 @@ std::string ExplainDot(const LoweredPlan& lowered) {
       }
     }
   }
-  if (lowered.hops_eliminated > 0) {
-    out += "  label=\"" + std::to_string(lowered.hops_eliminated) +
+  if (lowered.hops_eliminated() > 0) {
+    out += "  label=\"" + std::to_string(lowered.hops_eliminated()) +
            " log hop(s) eliminated by fusion\";\n";
   }
   out += "}\n";

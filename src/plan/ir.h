@@ -1,11 +1,11 @@
-// Declarative plan IR (ROADMAP item 5): a serializable logical DAG of
-// stream operators that an optimizer can rewrite before it is lowered onto
-// the imperative QueryPlan/StageSpec machinery (src/core/query.h).
+// Declarative plan IR: a serializable logical DAG of stream operators that
+// lowering (src/plan/lowering.h) compiles onto the imperative
+// QueryPlan/StageSpec machinery (src/core/query.h).
 //
 // The IR is *logical*: one node per operator, not per stage. Which nodes
 // share a stage — and therefore how many shared-log hops a record pays,
-// the dominant latency term per Table 2 of the paper — is decided by the
-// optimizer's fusion pass (src/plan/passes/fusion.cc), not by the author.
+// the dominant latency term per Table 2 of the paper — is decided by
+// fusion (FuseStages, src/plan/optimizer.h), not by the author.
 //
 // UDFs (predicates, maps, keys, aggregates, joins) are referenced by *named
 // handles* resolved against a UdfRegistry at lowering time, which is what

@@ -1,6 +1,5 @@
 #include "src/plan/lowering.h"
 
-#include <map>
 #include <set>
 #include <utility>
 
@@ -66,15 +65,14 @@ std::string BoundaryStreamName(const LogicalPlan& plan,
   return base;
 }
 
-Result<LoweredPlan> LowerPlan(const OptimizedPlan& optimized,
-                              const UdfRegistry& registry) {
-  const LogicalPlan& plan = optimized.plan;
+Result<LoweredPlan> LowerPlan(const LogicalPlan& plan,
+                              const UdfRegistry& registry, bool fuse) {
   IMPELLER_RETURN_IF_ERROR(plan.Validate());
+  StageGrouping grouping = FuseStages(plan, fuse);
 
   LoweredPlan out;
-  out.fused_edges = optimized.fused_edges;
-  out.pass_log = optimized.pass_log;
-  out.hops_eliminated = optimized.hops_eliminated;
+  out.fused_edges = std::move(grouping.fused_edges);
+  out.pass_log = std::move(grouping.note);
 
   QueryBuilder qb(plan.name);
 
@@ -97,7 +95,7 @@ Result<LoweredPlan> LowerPlan(const OptimizedPlan& optimized,
     }
   }
 
-  for (const auto& group : optimized.groups) {
+  for (const auto& group : grouping.groups) {
     const PlanNode* head = plan.FindNode(group.front());
     const PlanNode* tail = plan.FindNode(group.back());
 
@@ -118,25 +116,6 @@ Result<LoweredPlan> LowerPlan(const OptimizedPlan& optimized,
 
     StageBuilder& sb =
         qb.AddStage(info.name, info.tasks).ReadsFrom(info.inputs);
-
-    // Projection pruning: if the (single) input is a pruned ingress stream
-    // with a registered projector, it runs first in the chain.
-    if (head->inputs.size() == 1) {
-      const PlanNode* producer = plan.FindNode(head->inputs[0]);
-      if (producer->kind == OpKind::kSource) {
-        auto pruned = optimized.pruned_fields.find(producer->stream);
-        if (pruned != optimized.pruned_fields.end()) {
-          const MapOperator::MapFn* projector =
-              registry.Projector(producer->stream, pruned->second);
-          if (projector != nullptr) {
-            sb.Map(*projector);
-            info.projection = "project '" + producer->stream + "' to " +
-                              std::to_string(pruned->second.size()) +
-                              " field(s)";
-          }
-        }
-      }
-    }
 
     for (const auto& node_id : group) {
       const PlanNode* node = plan.FindNode(node_id);

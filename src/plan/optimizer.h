@@ -1,95 +1,41 @@
-// Rewrite-pass pipeline over the plan IR. Each pass is one file under
-// src/plan/passes/; the Optimizer runs them in order and assembles an
-// OptimizedPlan that lowering (src/plan/lowering.h) compiles onto the
-// imperative QueryPlan machinery.
+// The plan layer's one optimizer step: operator fusion. It decides which
+// plan nodes share a stage; lowering (src/plan/lowering.h) turns each group
+// into one stage of the imperative QueryPlan. Every edge fusion keeps inside
+// a stage deletes one shared-log append/read round trip.
 //
-// The stock pipeline is: predicate pushdown -> projection pruning ->
-// operator fusion. Fusion runs last because the earlier passes reorder and
-// insert nodes; it decides which nodes share a stage, and every edge it
-// fuses deletes one shared-log append/read round trip.
+// Nothing here rewrites the plan: fusion only groups nodes, so the plan
+// validated at the lowering entry is the plan that lowers.
 #ifndef IMPELLER_SRC_PLAN_OPTIMIZER_H_
 #define IMPELLER_SRC_PLAN_OPTIMIZER_H_
 
-#include <map>
-#include <memory>
-#include <set>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/plan/ir.h"
-#include "src/plan/registry.h"
 
 namespace impeller {
 namespace plan {
 
-// Shared mutable state threaded through the pass pipeline.
-struct PassContext {
-  LogicalPlan* plan = nullptr;
-  const UdfRegistry* registry = nullptr;
-
-  // Filled by the fusion pass: node id -> id of the node heading its fused
-  // group, and the groups themselves (each a linear operator chain, listed
-  // head-first) in deterministic topological order. Source nodes are not
-  // grouped — they lower to ingress streams, not stages.
-  std::map<std::string, std::string> group_of;
+// Fusion's output. It lives beside the IR, not in it, so LogicalPlan stays
+// serializable without derived state.
+struct StageGrouping {
+  // Node ids per stage, each group a linear operator chain listed
+  // head-first, groups in deterministic topological order. Source nodes are
+  // not grouped: they lower to ingress streams, not stages.
   std::vector<std::vector<std::string>> groups;
   // Fused producer->consumer edges; each one is a log hop that no longer
   // exists in the lowered plan.
   std::vector<std::pair<std::string, std::string>> fused_edges;
-
-  // Filled by projection pruning: ingress stream -> field subset actually
-  // read downstream (only when narrower than the registered schema).
-  std::map<std::string, std::set<std::string>> pruned_fields;
-
-  // Human-readable pass log, surfaced by Explain().
-  std::vector<std::string> log;
-  void Note(std::string_view pass, std::string message) {
-    log.push_back(std::string(pass) + ": " + std::move(message));
-  }
+  // One-line summary, surfaced in Explain()'s pass log.
+  std::string note;
 };
 
-class PlanPass {
- public:
-  virtual ~PlanPass() = default;
-  virtual std::string_view name() const = 0;
-  // Returns the number of rewrites applied. The plan must be valid before
-  // and after (Optimizer::Run re-validates between passes).
-  virtual Result<int> Run(PassContext* ctx) = 0;
-};
-
-// The optimizer's output: the (possibly rewritten) plan plus the stage
-// grouping and annotations lowering needs. Grouping lives here, not in the
-// IR, so LogicalPlan stays serializable without derived state.
-struct OptimizedPlan {
-  LogicalPlan plan;
-  std::map<std::string, std::string> group_of;
-  std::vector<std::vector<std::string>> groups;
-  std::vector<std::pair<std::string, std::string>> fused_edges;
-  std::map<std::string, std::set<std::string>> pruned_fields;
-  std::vector<std::string> pass_log;
-  int hops_eliminated = 0;  // == fused_edges.size()
-};
-
-class Optimizer {
- public:
-  // The stock pipeline. `fuse` false swaps the fusion pass for one that
-  // gives every operator its own stage — the "every boundary is a log hop"
-  // strawman the ablation benchmark measures against.
-  static Optimizer Default(bool fuse = true);
-
-  Optimizer& AddPass(std::unique_ptr<PlanPass> pass);
-
-  // Runs the pipeline over a copy of `input`. Validates before the first
-  // pass and after each rewriting pass.
-  Result<OptimizedPlan> Run(const LogicalPlan& input,
-                            const UdfRegistry& registry) const;
-
- private:
-  std::vector<std::shared_ptr<PlanPass>> passes_;  // shared: Optimizer copyable
-};
+// Groups `plan`'s nodes into stages. `fuse` true packs maximal linear
+// operator chains into single stages; false gives every operator its own
+// stage, the "every boundary is a log hop" strawman the ablation benchmark
+// measures against. `plan` must be valid (LogicalPlan::Validate).
+StageGrouping FuseStages(const LogicalPlan& plan, bool fuse);
 
 }  // namespace plan
 }  // namespace impeller

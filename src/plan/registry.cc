@@ -4,31 +4,24 @@ namespace impeller {
 namespace plan {
 
 UdfRegistry& UdfRegistry::RegisterPredicate(std::string name,
-                                            FilterOperator::Predicate fn,
-                                            UdfTraits traits) {
-  traits_[name] = std::move(traits);
+                                            FilterOperator::Predicate fn) {
   predicates_[std::move(name)] = std::move(fn);
   return *this;
 }
 
-UdfRegistry& UdfRegistry::RegisterMap(std::string name, MapOperator::MapFn fn,
-                                      UdfTraits traits) {
-  traits_[name] = std::move(traits);
+UdfRegistry& UdfRegistry::RegisterMap(std::string name,
+                                      MapOperator::MapFn fn) {
   maps_[std::move(name)] = std::move(fn);
   return *this;
 }
 
 UdfRegistry& UdfRegistry::RegisterFlatMap(std::string name,
-                                          FlatMapOperator::FlatMapFn fn,
-                                          UdfTraits traits) {
-  traits_[name] = std::move(traits);
+                                          FlatMapOperator::FlatMapFn fn) {
   flat_maps_[std::move(name)] = std::move(fn);
   return *this;
 }
 
-UdfRegistry& UdfRegistry::RegisterKey(std::string name, KeyFn fn,
-                                      UdfTraits traits) {
-  traits_[name] = std::move(traits);
+UdfRegistry& UdfRegistry::RegisterKey(std::string name, KeyFn fn) {
   keys_[std::move(name)] = std::move(fn);
   return *this;
 }
@@ -40,21 +33,6 @@ UdfRegistry& UdfRegistry::RegisterAggregate(std::string name, AggregateFn fn) {
 
 UdfRegistry& UdfRegistry::RegisterJoin(std::string name, JoinFn fn) {
   joins_[std::move(name)] = std::move(fn);
-  return *this;
-}
-
-UdfRegistry& UdfRegistry::RegisterSchema(std::string stream,
-                                         std::vector<std::string> fields) {
-  schemas_[std::move(stream)] = std::move(fields);
-  return *this;
-}
-
-UdfRegistry& UdfRegistry::RegisterProjector(std::string stream,
-                                            std::vector<std::string> kept,
-                                            MapOperator::MapFn fn) {
-  std::set<std::string> key_set(kept.begin(), kept.end());
-  projectors_[std::move(stream)].emplace_back(std::move(key_set),
-                                              std::move(fn));
   return *this;
 }
 
@@ -92,30 +70,6 @@ const AggregateFn* UdfRegistry::Aggregate(std::string_view name) const {
 
 const JoinFn* UdfRegistry::Join(std::string_view name) const {
   return Lookup(joins_, name);
-}
-
-UdfTraits UdfRegistry::Traits(std::string_view name) const {
-  auto it = traits_.find(name);
-  return it == traits_.end() ? UdfTraits{} : it->second;
-}
-
-const std::vector<std::string>* UdfRegistry::Schema(
-    std::string_view stream) const {
-  return Lookup(schemas_, stream);
-}
-
-const MapOperator::MapFn* UdfRegistry::Projector(
-    std::string_view stream, const std::set<std::string>& kept) const {
-  auto it = projectors_.find(stream);
-  if (it == projectors_.end()) {
-    return nullptr;
-  }
-  for (const auto& [fields, fn] : it->second) {
-    if (fields == kept) {
-      return &fn;
-    }
-  }
-  return nullptr;
 }
 
 }  // namespace plan

@@ -1,19 +1,14 @@
 // UdfRegistry: named code handles for the plan IR. A LogicalPlan carries
-// only names; the registry maps each name to the actual std::function plus
-// optional *traits* metadata the optimizer uses to prove rewrites legal.
-//
-// Traits are declarative and conservative by default: a UDF with no
-// registered traits is assumed to read every field and the key, and to
-// preserve nothing — which blocks predicate pushdown and projection pruning
-// across it. Registering honest traits is how a UDF opts into optimization.
+// only names; the registry maps each name to the actual std::function, and
+// lowering resolves every handle against it. Handles carry no dataflow
+// metadata: fusion, the only optimizer step, decides from operator kinds
+// alone.
 #ifndef IMPELLER_SRC_PLAN_REGISTRY_H_
 #define IMPELLER_SRC_PLAN_REGISTRY_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/core/aggregate.h"
@@ -21,30 +16,6 @@
 
 namespace impeller {
 namespace plan {
-
-// Declared dataflow facts about a UDF, in terms of abstract record-field
-// names (the records themselves are opaque bytes; fields are whatever the
-// application's codec calls them).
-struct UdfTraits {
-  // Fields of the input value the UDF inspects. {"*"} (the default) means
-  // "assume everything".
-  std::set<std::string> reads = {"*"};
-  // Fields a map/flat_map passes through unchanged into its output.
-  bool reads_key = true;       // inspects the record key
-  std::set<std::string> preserves;
-  bool preserves_key = false;  // leaves the record key unchanged
-
-  static UdfTraits Pure(std::set<std::string> reads_fields,
-                        std::set<std::string> preserves_fields = {},
-                        bool reads_key = false, bool preserves_key = true) {
-    UdfTraits t;
-    t.reads = std::move(reads_fields);
-    t.preserves = std::move(preserves_fields);
-    t.reads_key = reads_key;
-    t.preserves_key = preserves_key;
-    return t;
-  }
-};
 
 // All join flavours share the (left, right) -> value signature.
 using JoinFn = std::function<std::string(std::string_view, std::string_view)>;
@@ -54,28 +25,13 @@ using KeyFn = std::function<std::string(const StreamRecord&)>;
 class UdfRegistry {
  public:
   UdfRegistry& RegisterPredicate(std::string name,
-                                 FilterOperator::Predicate fn,
-                                 UdfTraits traits = {});
-  UdfRegistry& RegisterMap(std::string name, MapOperator::MapFn fn,
-                           UdfTraits traits = {});
+                                 FilterOperator::Predicate fn);
+  UdfRegistry& RegisterMap(std::string name, MapOperator::MapFn fn);
   UdfRegistry& RegisterFlatMap(std::string name,
-                               FlatMapOperator::FlatMapFn fn,
-                               UdfTraits traits = {});
-  UdfRegistry& RegisterKey(std::string name, KeyFn fn, UdfTraits traits = {});
+                               FlatMapOperator::FlatMapFn fn);
+  UdfRegistry& RegisterKey(std::string name, KeyFn fn);
   UdfRegistry& RegisterAggregate(std::string name, AggregateFn fn);
   UdfRegistry& RegisterJoin(std::string name, JoinFn fn);
-
-  // Declares the fields an ingress stream's records carry — the basis for
-  // projection pruning. Optional: streams without a schema are opaque and
-  // never pruned.
-  UdfRegistry& RegisterSchema(std::string stream,
-                              std::vector<std::string> fields);
-  // A projection map for `stream` keeping exactly `kept_fields`; lowering
-  // inserts it at the consuming stage head when the projection pass pruned
-  // the stream to that field set.
-  UdfRegistry& RegisterProjector(std::string stream,
-                                 std::vector<std::string> kept_fields,
-                                 MapOperator::MapFn fn);
 
   // Lookups return nullptr when unregistered; lowering turns that into an
   // actionable error naming the handle and the register call to make.
@@ -86,15 +42,6 @@ class UdfRegistry {
   const AggregateFn* Aggregate(std::string_view name) const;
   const JoinFn* Join(std::string_view name) const;
 
-  // Traits of any registered handle (predicate/map/flat_map/key); the
-  // conservative default for unknown names.
-  UdfTraits Traits(std::string_view name) const;
-
-  const std::vector<std::string>* Schema(std::string_view stream) const;
-  // Projector for (stream, kept field set), if registered.
-  const MapOperator::MapFn* Projector(
-      std::string_view stream, const std::set<std::string>& kept) const;
-
  private:
   std::map<std::string, FilterOperator::Predicate, std::less<>> predicates_;
   std::map<std::string, MapOperator::MapFn, std::less<>> maps_;
@@ -102,12 +49,6 @@ class UdfRegistry {
   std::map<std::string, KeyFn, std::less<>> keys_;
   std::map<std::string, AggregateFn, std::less<>> aggregates_;
   std::map<std::string, JoinFn, std::less<>> joins_;
-  std::map<std::string, UdfTraits, std::less<>> traits_;
-  std::map<std::string, std::vector<std::string>, std::less<>> schemas_;
-  std::map<std::string, std::vector<std::pair<std::set<std::string>,
-                                              MapOperator::MapFn>>,
-           std::less<>>
-      projectors_;
 };
 
 }  // namespace plan

@@ -112,27 +112,6 @@ TEST(OutputBufferTest, ChangeLogAndOutputReportSeparateFirstLsns) {
   EXPECT_LT(result->first_output, result->first_changelog);
 }
 
-TEST(OutputBufferTest, PrebuiltAddAccountsFramedBytesAndFlushes) {
-  SharedLog log;
-  OutputBuffer buffer(&log, 1 << 20);
-  RecordHeader h = SampleHeader(5);
-  std::string payload = EncodeEnvelope(h, EncodeDataBody({"pk", "pv", 7}));
-  size_t framed = payload.size();
-  AppendRequest req;
-  req.tags = {"d/X/0"};
-  req.payload = std::move(payload);
-  buffer.Add(OutputBuffer::Kind::kOutput, std::move(req));
-  EXPECT_EQ(buffer.pending_bytes(), framed);
-
-  auto result = buffer.Flush();
-  ASSERT_TRUE(result.ok());
-  auto entry = log.ReadNext("d/X/0", 0);
-  ASSERT_TRUE(entry.ok());
-  auto env = DecodeEnvelopeView(entry->payload.view());
-  ASSERT_TRUE(env.ok());
-  EXPECT_EQ(env->seq, 5u);
-}
-
 TEST(OutputBufferTest, MixedSealedAndFreshEpochsFlushInOrder) {
   // Records from a sealed (flushed-but-kept) epoch and a fresh epoch must
   // both survive: seal pins the old bytes while new records encode into a

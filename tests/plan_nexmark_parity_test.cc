@@ -118,8 +118,8 @@ TEST_P(StructuralParityTest, UnfusedPlanHasOneStagePerOperator) {
   // One stage per non-source node; no hop ever fused.
   EXPECT_EQ(unfused->lowered.query.stages.size(),
             unfused->logical.nodes.size() - sources);
-  EXPECT_EQ(unfused->lowered.hops_eliminated, 0);
-  EXPECT_GT(fused->lowered.hops_eliminated, 0);
+  EXPECT_EQ(unfused->lowered.hops_eliminated(), 0);
+  EXPECT_GT(fused->lowered.hops_eliminated(), 0);
   EXPECT_LT(fused->lowered.query.stages.size(),
             unfused->lowered.query.stages.size());
 }

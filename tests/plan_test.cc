@@ -1,6 +1,6 @@
 // Plan-layer tests: IR JSON round-trip, structural validation errors,
-// each optimizer pass in isolation, fusion on linear / rekeyed / join /
-// diamond shapes, lowering errors, and an end-to-end engine run of a
+// fusion on linear / rekeyed / join / diamond shapes, validation at the
+// lowering entry, lowering errors, and an end-to-end engine run of a
 // lowered diamond plan (fan-out stage).
 #include <algorithm>
 #include <string>
@@ -15,7 +15,6 @@
 #include "src/plan/json.h"
 #include "src/plan/lowering.h"
 #include "src/plan/optimizer.h"
-#include "src/plan/passes/passes.h"
 #include "src/plan/registry.h"
 #include "tests/test_util.h"
 
@@ -284,132 +283,11 @@ TEST(PlanValidateTest, FromJsonValidates) {
   EXPECT_SUBSTR(restored.status().message(), "no sink node");
 }
 
-// --- optimizer passes in isolation ---
-
-TEST(PushdownPassTest, HoistsFilterAboveDeclaredPureMap) {
-  UdfRegistry reg = TestRegistry();
-  reg.RegisterMap(
-      "proj", [](StreamRecord r) { return r; },
-      UdfTraits::Pure(/*reads=*/{"a"}, /*preserves=*/{"b"}));
-  reg.RegisterPredicate(
-      "sel_b", [](const StreamRecord&) { return true; },
-      UdfTraits::Pure(/*reads=*/{"b"}));
-
-  PlanBuilder pb("p");
-  auto src = pb.Source("in");
-  auto m = pb.Map(src, "proj");
-  auto f = pb.Filter(m, "sel_b");
-  pb.Sink(f, "p");
-  auto built = pb.Build();
-  ASSERT_TRUE(built.ok());
-
-  LogicalPlan p = *built;
-  PassContext ctx;
-  ctx.plan = &p;
-  ctx.registry = &reg;
-  auto rewrites = MakePredicatePushdownPass()->Run(&ctx);
-  ASSERT_TRUE(rewrites.ok()) << rewrites.status().ToString();
-  EXPECT_EQ(*rewrites, 1);
-  // filter now reads the source; map reads the filter.
-  EXPECT_EQ(p.FindNode("f3")->inputs[0], "src_in");
-  EXPECT_EQ(p.FindNode("m2")->inputs[0], "f3");
-  EXPECT_TRUE(p.Validate().ok());
-}
-
-TEST(PushdownPassTest, ConservativeTraitsBlockHoisting) {
-  UdfRegistry reg = TestRegistry();  // no traits declared anywhere
-  PlanBuilder pb("p");
-  auto src = pb.Source("in");
-  auto f = pb.Filter(pb.Map(src, "tag"), "nonempty");
-  pb.Sink(f, "p");
-  auto built = pb.Build();
-  ASSERT_TRUE(built.ok());
-  LogicalPlan p = *built;
-  PassContext ctx;
-  ctx.plan = &p;
-  ctx.registry = &reg;
-  auto rewrites = MakePredicatePushdownPass()->Run(&ctx);
-  ASSERT_TRUE(rewrites.ok());
-  EXPECT_EQ(*rewrites, 0);
-  EXPECT_EQ(p.FindNode("f3")->inputs[0], "m2");
-}
-
-TEST(PushdownPassTest, HoistsPastKeyByOnlyWhenKeyUnread) {
-  UdfRegistry reg = TestRegistry();
-  reg.RegisterPredicate(
-      "value_only", [](const StreamRecord&) { return true; },
-      UdfTraits::Pure(/*reads=*/{"v"}));
-  // "nonempty" keeps the conservative default (reads_key = true).
-  const std::vector<std::pair<std::string, int>> cases = {
-      {"value_only", 1}, {"nonempty", 0}};
-  for (const auto& [pred, expected_rewrites] : cases) {
-    PlanBuilder pb("p");
-    auto src = pb.Source("in");
-    auto f = pb.Filter(pb.KeyBy(src, "by_value"), pred);
-    pb.Sink(f, "p");
-    auto built = pb.Build();
-    ASSERT_TRUE(built.ok());
-    LogicalPlan p = *built;
-    PassContext ctx;
-    ctx.plan = &p;
-    ctx.registry = &reg;
-    auto rewrites = MakePredicatePushdownPass()->Run(&ctx);
-    ASSERT_TRUE(rewrites.ok());
-    EXPECT_EQ(*rewrites, expected_rewrites) << pred;
-  }
-}
-
-TEST(ProjectionPassTest, ComputesPrunableStreams) {
-  UdfRegistry reg = TestRegistry();
-  reg.RegisterSchema("in", {"a", "b", "c"});
-  reg.RegisterMap("proj_a", [](StreamRecord r) { return r; },
-                  UdfTraits::Pure(/*reads=*/{"a"}));
-  PlanBuilder pb("p");
-  auto src = pb.Source("in");
-  pb.Sink(pb.Map(src, "proj_a"), "p");
-  auto built = pb.Build();
-  ASSERT_TRUE(built.ok());
-  LogicalPlan p = *built;
-  PassContext ctx;
-  ctx.plan = &p;
-  ctx.registry = &reg;
-  auto pruned = MakeProjectionPruningPass()->Run(&ctx);
-  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
-  EXPECT_EQ(*pruned, 1);
-  ASSERT_EQ(ctx.pruned_fields.count("in"), 1u);
-  EXPECT_EQ(ctx.pruned_fields["in"], (std::set<std::string>{"a"}));
-}
-
-TEST(ProjectionPassTest, UndeclaredUdfDisablesPruning) {
-  UdfRegistry reg = TestRegistry();
-  reg.RegisterSchema("in", {"a", "b", "c"});
-  PlanBuilder pb("p");
-  auto src = pb.Source("in");
-  pb.Sink(pb.Map(src, "tag"), "p");  // "tag" has conservative traits
-  auto built = pb.Build();
-  ASSERT_TRUE(built.ok());
-  LogicalPlan p = *built;
-  PassContext ctx;
-  ctx.plan = &p;
-  ctx.registry = &reg;
-  auto pruned = MakeProjectionPruningPass()->Run(&ctx);
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_EQ(*pruned, 0);
-  EXPECT_TRUE(ctx.pruned_fields.empty());
-}
-
 // --- fusion shapes ---
 
 std::vector<std::vector<std::string>> FuseGroups(const LogicalPlan& p,
                                                  bool fuse = true) {
-  LogicalPlan copy = p;
-  UdfRegistry reg = TestRegistry();
-  PassContext ctx;
-  ctx.plan = &copy;
-  ctx.registry = &reg;
-  auto rewrites = MakeFusionPass(fuse)->Run(&ctx);
-  EXPECT_TRUE(rewrites.ok()) << rewrites.status().ToString();
-  return ctx.groups;
+  return FuseStages(p, fuse).groups;
 }
 
 TEST(FusionPassTest, LinearStatelessChainFusesToOneStage) {
@@ -480,7 +358,56 @@ TEST(FusionPassTest, DisabledFusionGivesEveryOperatorItsOwnStage) {
   }
 }
 
-// --- optimizer + lowering ---
+// --- lowering ---
+
+PlanNode HandNode(std::string id, OpKind kind, std::vector<std::string> inputs,
+                  std::string attr = "") {
+  PlanNode node;
+  node.id = std::move(id);
+  node.kind = kind;
+  node.inputs = std::move(inputs);
+  if (kind == OpKind::kSource) {
+    node.stream = attr;
+  } else if (kind == OpKind::kSink) {
+    node.sink = attr;
+  } else {
+    node.expr = attr;
+  }
+  return node;
+}
+
+TEST(LoweringTest, EntryValidatesPlansThatNeverWentThroughBuild) {
+  // Lowering is the one check between a hand-assembled plan and the engine:
+  // it must refuse what Validate() refuses, with the same message.
+  LogicalPlan unknown_input;
+  unknown_input.name = "h";
+  unknown_input.nodes = {HandNode("src", OpKind::kSource, {}, "in"),
+                         HandNode("f", OpKind::kFilter, {"ghost"}, "nonempty"),
+                         HandNode("out", OpKind::kSink, {"f"}, "h")};
+
+  LogicalPlan cycle;
+  cycle.name = "h";
+  cycle.nodes = {HandNode("src", OpKind::kSource, {}, "in"),
+                 HandNode("f", OpKind::kFilter, {"src"}, "nonempty"),
+                 HandNode("out", OpKind::kSink, {"f"}, "h"),
+                 HandNode("cyc_a", OpKind::kFilter, {"cyc_b"}, "nonempty"),
+                 HandNode("cyc_b", OpKind::kMap, {"cyc_a"}, "tag")};
+
+  const std::vector<std::pair<const LogicalPlan*, std::string>> cases = {
+      {&unknown_input, "reads unknown node 'ghost'"}, {&cycle, "cycle"}};
+  UdfRegistry reg = TestRegistry();
+  for (const auto& [plan, expected] : cases) {
+    Status valid = plan->Validate();
+    ASSERT_FALSE(valid.ok()) << expected;
+    for (bool fuse : {true, false}) {
+      auto lowered = LowerPlan(*plan, reg, fuse);
+      ASSERT_FALSE(lowered.ok()) << expected;
+      EXPECT_EQ(lowered.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(lowered.status().message(), valid.message());
+      EXPECT_SUBSTR(lowered.status().message(), expected);
+    }
+  }
+}
 
 TEST(LoweringTest, MissingHandleErrorNamesHandleAndRegistration) {
   PlanBuilder pb("p");
@@ -489,9 +416,7 @@ TEST(LoweringTest, MissingHandleErrorNamesHandleAndRegistration) {
   auto built = pb.Build();
   ASSERT_TRUE(built.ok());
   UdfRegistry reg;  // empty
-  auto optimized = Optimizer::Default().Run(*built, reg);
-  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  auto lowered = LowerPlan(*optimized, reg);
+  auto lowered = LowerPlan(*built, reg);
   ASSERT_FALSE(lowered.ok());
   EXPECT_SUBSTR(lowered.status().message(), "'no_such_predicate'");
   EXPECT_SUBSTR(lowered.status().message(), "RegisterPredicate");
@@ -505,9 +430,7 @@ TEST(LoweringTest, SharedIngressRejectedWithActionableError) {
   auto built = pb.Build();
   ASSERT_TRUE(built.ok());
   UdfRegistry reg = TestRegistry();
-  auto optimized = Optimizer::Default().Run(*built, reg);
-  ASSERT_TRUE(optimized.ok());
-  auto lowered = LowerPlan(*optimized, reg);
+  auto lowered = LowerPlan(*built, reg);
   ASSERT_FALSE(lowered.ok());
   EXPECT_SUBSTR(lowered.status().message(), "single-consumer");
 }
@@ -515,11 +438,9 @@ TEST(LoweringTest, SharedIngressRejectedWithActionableError) {
 TEST(LoweringTest, FusedPlanLowersWithHintsApplied) {
   LogicalPlan p = SmallPlan();
   UdfRegistry reg = TestRegistry();
-  auto optimized = Optimizer::Default().Run(p, reg);
-  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  EXPECT_EQ(optimized->hops_eliminated, 2);
-  auto lowered = LowerPlan(*optimized, reg);
+  auto lowered = LowerPlan(p, reg);
   ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
+  EXPECT_EQ(lowered->hops_eliminated(), 2);
   ASSERT_EQ(lowered->query.stages.size(), 2u);
   EXPECT_EQ(lowered->query.stages[0].name, "head");  // stage_hint
   EXPECT_EQ(lowered->query.stages[1].name, "agg4");  // node-id fallback
@@ -529,35 +450,12 @@ TEST(LoweringTest, FusedPlanLowersWithHintsApplied) {
   EXPECT_TRUE(lowered->query.stages[1].stateful);
 }
 
-TEST(LoweringTest, ProjectorInsertedForPrunedStream) {
-  UdfRegistry reg = TestRegistry();
-  reg.RegisterSchema("in", {"a", "b"});
-  reg.RegisterMap("proj_a", [](StreamRecord r) { return r; },
-                  UdfTraits::Pure(/*reads=*/{"a"}));
-  reg.RegisterProjector("in", {"a"}, [](StreamRecord r) { return r; });
-  PlanBuilder pb("p");
-  auto src = pb.Source("in");
-  pb.Sink(pb.Map(src, "proj_a"), "p");
-  auto built = pb.Build();
-  ASSERT_TRUE(built.ok());
-  auto optimized = Optimizer::Default().Run(*built, reg);
-  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  EXPECT_EQ(optimized->pruned_fields.count("in"), 1u);
-  auto lowered = LowerPlan(*optimized, reg);
-  ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
-  EXPECT_SUBSTR(lowered->stages[0].projection, "in");
-  // projector + map + sink
-  EXPECT_EQ(lowered->query.stages[0].operators.size(), 3u);
-}
-
 // --- explain ---
 
 TEST(ExplainTest, TextShowsStagesStreamsAndEliminatedHops) {
   LogicalPlan p = SmallPlan();
   UdfRegistry reg = TestRegistry();
-  auto optimized = Optimizer::Default().Run(p, reg);
-  ASSERT_TRUE(optimized.ok());
-  auto lowered = LowerPlan(*optimized, reg);
+  auto lowered = LowerPlan(p, reg);
   ASSERT_TRUE(lowered.ok());
   std::string text = ExplainText(*lowered);
   EXPECT_SUBSTR(text, "== plan 't' ==");
@@ -587,9 +485,7 @@ TEST(PlanEndToEndTest, DiamondPlanFansOutToBothSinks) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
 
   UdfRegistry reg = TestRegistry();
-  auto optimized = Optimizer::Default().Run(*built, reg);
-  ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
-  auto lowered = LowerPlan(*optimized, reg);
+  auto lowered = LowerPlan(*built, reg);
   ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
   ASSERT_EQ(lowered->query.stages.size(), 3u);
   EXPECT_TRUE(lowered->stages[0].fans_out);
